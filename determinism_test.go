@@ -138,6 +138,13 @@ func TestChaosUnknownProfile(t *testing.T) {
 	}
 }
 
+// denseCell is the invariance tests' one-hot-cell case: 96 UEs cross the
+// RU's parallel-uplink floor, so one cell's UEs are synthesised on different
+// workers (every other case has 6 UEs per cell and runs that phase inline).
+func denseCell() (string, error) {
+	return Metro(MetroOptions{Cells: 1, UEs: 96, Seed: 3, Horizon: 120 * time.Millisecond})
+}
+
 // TestReportsInvariantToPooling pins the memory layer's central property:
 // buffer recycling (internal/mem and the typed FAPI/packet free lists) only
 // changes allocator traffic, never results. Every report — and the
@@ -159,6 +166,7 @@ func TestReportsInvariantToPooling(t *testing.T) {
 			_, tr, err := ChaosTraced(5, "light")
 			return tr, err
 		}},
+		{"dense-cell", denseCell},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +208,7 @@ func TestReportsInvariantToWorkerCount(t *testing.T) {
 			_, tr, err := ChaosTraced(5, "light")
 			return tr, err
 		}},
+		{"dense-cell", denseCell},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -81,3 +81,19 @@ func BenchmarkDemodulateReference(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTransmitInto tracks the channel at one sampled block's size, in
+// place as the UE's radio paths call it; two normal draws per sample
+// dominate.
+func BenchmarkTransmitInto(b *testing.B) {
+	const nSym = 168
+	ch := NewChannel(12, 1.5, 0.97, sim.NewRNG(33))
+	ch.Advance()
+	buf := benchSymbols(QAM16, nSym)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.TransmitInto(buf, buf)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nSym), "ns/sym")
+}

@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/cmplx"
+	"unsafe"
 
 	"slingshot/internal/sim"
 )
@@ -60,16 +61,40 @@ func (c *Channel) NoiseVar() float64 {
 
 // Transmit passes unit-power symbols through the channel: applies the
 // complex gain and adds complex AWGN at the current SNR. The input is not
-// modified.
+// modified. It is the allocating form of TransmitInto.
 func (c *Channel) Transmit(symbols []complex128) []complex128 {
+	return c.TransmitInto(make([]complex128, len(symbols)), symbols)
+}
+
+// TransmitInto is Transmit writing into dst (grown only if its capacity is
+// short) and returning dst[:len(symbols)]. Every element of the result is
+// written, so dst may be a pooled lease with stale contents. dst may be
+// symbols itself — the in-place form the radio hot paths use. Any other
+// overlap panics before a sample is drawn: a dst ahead of symbols in the
+// same array would read samples it had already overwritten.
+func (c *Channel) TransmitInto(dst, symbols []complex128) []complex128 {
+	n := len(symbols)
+	if cap(dst) < n {
+		dst = make([]complex128, n)
+	}
+	dst = dst[:n]
+	if n > 0 && &dst[0] != &symbols[0] && overlaps(dst, symbols) {
+		panic("dsp: TransmitInto dst partially overlaps symbols")
+	}
 	h := c.Gain()
 	sigma := math.Sqrt(c.NoiseVar() / 2)
-	out := make([]complex128, len(symbols))
 	for i, s := range symbols {
-		n := complex(c.rng.Norm()*sigma, c.rng.Norm()*sigma)
-		out[i] = s*h + n
+		noise := complex(c.rng.Norm()*sigma, c.rng.Norm()*sigma)
+		dst[i] = s*h + noise
 	}
-	return out
+	return dst
+}
+
+// overlaps reports whether two non-empty slices share any element.
+func overlaps(a, b []complex128) bool {
+	a0, a1 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&a[len(a)-1]))
+	b0, b1 := uintptr(unsafe.Pointer(&b[0])), uintptr(unsafe.Pointer(&b[len(b)-1]))
+	return a0 <= b1 && b0 <= a1
 }
 
 // EstimateChannel performs least-squares channel estimation from received

@@ -359,11 +359,22 @@ func (c *Codec) DecodeBlock(rx []complex128, slot uint64, ue uint16, m dsp.Modul
 	return out
 }
 
+// zeroPad is the source of PadSymbols' explicit zeros: appending from it
+// overwrites whatever a pooled lease held, and allocates nothing while the
+// destination's capacity suffices.
+var zeroPad [12]complex128
+
 // PadSymbols pads symbols with zeros to a multiple of 12 so they BFP-pack
 // cleanly.
 func PadSymbols(iq []complex128) []complex128 {
 	if rem := len(iq) % 12; rem != 0 {
-		iq = append(iq, make([]complex128, 12-rem)...)
+		iq = append(iq, zeroPad[:12-rem]...)
 	}
 	return iq
+}
+
+// PaddedSymbolsPerBlock is SymbolsPerBlock rounded up to whole PRBs: the
+// capacity a block's IQ lease needs for encode and pad to grow nothing.
+func (c *Codec) PaddedSymbolsPerBlock(m dsp.Modulation) int {
+	return (c.SymbolsPerBlock(m) + 11) / 12 * 12
 }

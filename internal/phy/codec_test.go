@@ -181,6 +181,30 @@ func TestPadSymbols(t *testing.T) {
 	if got := len(PadSymbols(make([]complex128, 24))); got != 24 {
 		t.Fatalf("PadSymbols(24) -> %d", got)
 	}
+
+	// Into a recycled lease: the pad must be explicit zeros over whatever
+	// the spare capacity held, and must not allocate.
+	c := NewCodec(0, 0, 9, 1)
+	n := c.SymbolsPerBlock(dsp.QAM64)
+	if n%12 == 0 || c.PaddedSymbolsPerBlock(dsp.QAM64) != n+12-n%12 {
+		t.Fatalf("64QAM block: %d symbols, padded %d", n, c.PaddedSymbolsPerBlock(dsp.QAM64))
+	}
+	lease := make([]complex128, c.PaddedSymbolsPerBlock(dsp.QAM64))
+	for i := range lease {
+		lease[i] = complex(7, -7)
+	}
+	var padded []complex128
+	if avg := testing.AllocsPerRun(10, func() { padded = PadSymbols(lease[:n]) }); avg != 0 {
+		t.Fatalf("PadSymbols allocates %.1f times with capacity to spare", avg)
+	}
+	if len(padded) != len(lease) || &padded[0] != &lease[0] {
+		t.Fatalf("PadSymbols left the lease: len %d, want %d", len(padded), len(lease))
+	}
+	for i := n; i < len(padded); i++ {
+		if padded[i] != 0 {
+			t.Fatalf("pad sample %d = %v, want 0", i, padded[i])
+		}
+	}
 }
 
 func TestCodecSurvivesBFP(t *testing.T) {

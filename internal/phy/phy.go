@@ -627,8 +627,7 @@ func (p *PHY) transmitDL(c *cell, slot uint64, dl *fapi.DLConfig) {
 	// merge order below is deterministic.
 	par.ForEach(len(jobs), func(i int) {
 		pdu := &dl.PDUs[i]
-		n := c.codec.SymbolsPerBlock(pdu.Alloc.Mod)
-		n += (12 - n%12) % 12
+		n := c.codec.PaddedSymbolsPerBlock(pdu.Alloc.Mod)
 		iq := c.codec.AppendEncodeBlock(mem.GetComplexCap(n), jobs[i].tb, slot, pdu.UEID, pdu.Alloc.Mod)
 		iq = PadSymbols(iq)
 		pkt, err := fronthaul.NewDownlinkIQ(c.id, jobs[i].seq, fronthaul.SlotFromCounter(slot),
@@ -761,10 +760,6 @@ func (p *PHY) receiveUL(c *cell, pkt *fronthaul.Packet) {
 			c.pool, pdu.HARQID, pdu.NewData)
 		pend.hadIQ = true
 		pend.tbHash = hashTB(pkt.Aux)
-		// Copy the TB sidecar out of the packet now: the frame's wire
-		// buffer is released when HandleFrame returns, but this pending
-		// entry lives until drainUL. The pending list owns the copy and
-		// hands it to the RX_DATA (decode OK) or back to the pool.
 		// Copy the TB sidecar out of the packet now: the frame's wire
 		// buffer is released when HandleFrame returns, but this pending
 		// entry lives until drainUL. The pending list owns the copy and

@@ -11,6 +11,7 @@ import (
 	"slingshot/internal/fronthaul"
 	"slingshot/internal/mem"
 	"slingshot/internal/netmodel"
+	"slingshot/internal/par"
 	"slingshot/internal/phy"
 	"slingshot/internal/sim"
 )
@@ -23,10 +24,17 @@ type AttachedUE interface {
 	DeliverControl(absSlot uint64, secs []fronthaul.Section)
 	// DeliverDownlink hands a DL U-plane packet to the UE.
 	DeliverDownlink(absSlot uint64, pkt *fronthaul.Packet)
-	// PullUplink asks the UE for its granted uplink transmission.
+	// PullUplink asks the UE for its granted uplink transmission. iq holds
+	// whole PRBs (a multiple of 12 samples) in a mem.GetComplexCap lease
+	// that becomes the RU's to return; aux stays the UE's, valid until the
+	// slot's collection returns. The RU calls it for different UEs from
+	// different goroutines at once, so an implementation may touch only its
+	// own UE's state and concurrency-safe pools: no Engine scheduling, no
+	// trace emission, nothing shared between UEs.
 	PullUplink(absSlot uint64) (iq []complex128, aux []byte, ok bool)
-	// CollectUCI drains the UE's pending control reports.
-	CollectUCI() []fapi.UCI
+	// CollectUCI drains the UE's pending control reports, appending them to
+	// dst.
+	CollectUCI(dst []fapi.UCI) []fapi.UCI
 }
 
 // Config parameterizes an RU.
@@ -75,6 +83,12 @@ type RU struct {
 	lastDL    sim.Time
 	everDL    bool
 	txFn      func(any) // long-lived transmit callback for pooled events
+
+	// Per-slot staging, recycled across slots: the status packet's report
+	// list and collectUplink's per-UE packets (index i is r.ues[i]'s, nil
+	// for a silent UE).
+	uciBuf []fapi.UCI
+	ulPkts []*fronthaul.Packet
 }
 
 // New creates an RU.
@@ -118,10 +132,11 @@ func (r *RU) onSlot() {
 }
 
 func (r *RU) sendStatus(slot uint64) {
-	var reports []fapi.UCI
+	reports := r.uciBuf[:0]
 	for _, u := range r.ues {
-		reports = append(reports, u.CollectUCI()...)
+		reports = u.CollectUCI(reports)
 	}
+	r.uciBuf = reports
 	pkt := fronthaul.NewControl(r.Cfg.Cell, r.seq, fronthaul.Uplink,
 		fronthaul.SlotFromCounter(slot), 0)
 	r.seq++
@@ -134,30 +149,68 @@ func (r *RU) sendStatus(slot uint64) {
 	r.Stats.StatusTx++
 }
 
+// minParallelUEs is the attached-UE count below which collectUplink skips
+// the worker pool. A parked worker joins a batch only some 15 UEs' worth of
+// synthesis after it is sent for, so a smaller cell would pay for the
+// wake-up and do all the work on the caller anyway (DESIGN.md §8).
+const minParallelUEs = 16
+
+// collectUplink samples the slot's uplink as a slot batch of the same
+// shape as phy.transmitDL (less its leading phase: there are no shared RNG
+// draws to fix first). Each UE owns everything its transmission depends on
+// (channel stream, RLC, HARQ-TX map, codec, stats), so the synthesis fans
+// out on the worker pool with results landing by UE index; everything
+// shared — r.seq, r.Stats, Engine scheduling — waits for the sequential
+// phase, which walks r.ues in order exactly as the serial loop did.
 func (r *RU) collectUplink(slot uint64) {
-	for _, u := range r.ues {
-		iq, aux, ok := u.PullUplink(slot)
-		if !ok {
+	if cap(r.ulPkts) < len(r.ues) {
+		r.ulPkts = make([]*fronthaul.Packet, len(r.ues))
+	}
+	r.ulPkts = r.ulPkts[:len(r.ues)]
+	if len(r.ues) < minParallelUEs {
+		for i := range r.ues {
+			r.synthesize(i, slot)
+		}
+	} else {
+		par.ForEach(len(r.ues), func(i int) { r.synthesize(i, slot) })
+	}
+
+	for i, pkt := range r.ulPkts {
+		if pkt == nil {
 			continue
 		}
-		iq = phy.PadSymbols(iq)
-		pkt, err := fronthaul.NewUplinkIQ(r.Cfg.Cell, r.seq,
-			fronthaul.SlotFromCounter(slot), 0, 0, iq, r.Cfg.MantissaBits)
-		if err != nil {
-			continue
-		}
+		r.ulPkts[i] = nil
+		pkt.Seq = r.seq
 		r.seq++
-		pkt.Section = u.ID()
-		pkt.Aux = aux
 		// Virtual size: a full-carrier UL slot's IQ share for this UE.
-		virtual := len(iq) / 12 * fronthaul.BFPBlockBytes(r.Cfg.MantissaBits) * 4
-		r.transmit(r.Cfg.ULOffset, pkt, virtual)
+		r.transmit(r.Cfg.ULOffset, pkt, len(pkt.Payload)*4)
 		// The wire copy is done; recycle the BFP payload and the packet
 		// struct. Aux is the UE's HARQ buffer — not the RU's to free.
 		mem.PutBytes(pkt.Payload)
 		pkt.Recycle()
 		r.Stats.ULDataTx++
 	}
+}
+
+// synthesize is collectUplink's parallel phase for r.ues[i]: the UE builds
+// its block into an IQ lease, which is compressed into the packet's payload
+// lease and returned to the pool before the worker moves on. It writes only
+// r.ulPkts[i].
+func (r *RU) synthesize(i int, slot uint64) {
+	u := r.ues[i]
+	iq, aux, ok := u.PullUplink(slot)
+	if !ok {
+		return
+	}
+	pkt, err := fronthaul.NewUplinkIQ(r.Cfg.Cell, 0,
+		fronthaul.SlotFromCounter(slot), 0, 0, iq, r.Cfg.MantissaBits)
+	mem.PutComplex(iq)
+	if err != nil {
+		return
+	}
+	pkt.Section = u.ID()
+	pkt.Aux = aux
+	r.ulPkts[i] = pkt
 }
 
 // transmit ships a fronthaul packet to the virtual PHY address after an

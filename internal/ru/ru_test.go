@@ -5,6 +5,7 @@ import (
 
 	"slingshot/internal/fapi"
 	"slingshot/internal/fronthaul"
+	"slingshot/internal/mem"
 	"slingshot/internal/netmodel"
 	"slingshot/internal/phy"
 	"slingshot/internal/sim"
@@ -35,12 +36,13 @@ func (f *fakeUE) PullUplink(slot uint64) ([]complex128, []byte, bool) {
 	if f.ulIQ == nil {
 		return nil, nil, false
 	}
-	return f.ulIQ, f.ulAux, true
+	// The RU returns the IQ to the pool, so hand it a lease of its own.
+	return append(mem.GetComplexCap(len(f.ulIQ)), f.ulIQ...), f.ulAux, true
 }
-func (f *fakeUE) CollectUCI() []fapi.UCI {
-	out := f.uci
+func (f *fakeUE) CollectUCI(dst []fapi.UCI) []fapi.UCI {
+	dst = append(dst, f.uci...)
 	f.uci = nil
-	return out
+	return dst
 }
 
 type capture struct {

@@ -114,6 +114,10 @@ type UE struct {
 	dlAssig map[uint64][]fronthaul.Section
 	uciQ    []fapi.UCI
 	cqi     harq.SNRFilter
+	// dlIQ is DeliverDownlink's receive scratch: a packet's IQ is
+	// decompressed into it and passed through the channel in place. It never
+	// leaves the UE, and nothing reads it after the block is decoded.
+	dlIQ []complex128
 
 	lastAdvSlot uint64
 	gapSince    sim.Time
@@ -152,7 +156,7 @@ func (u *UE) resetBearers() {
 	u.harqTx = make(map[uint8][]byte)
 	u.grants = make(map[uint64]fronthaul.Section)
 	u.dlAssig = make(map[uint64][]fronthaul.Section)
-	u.uciQ = nil
+	u.uciQ = u.uciQ[:0]
 }
 
 // Attach connects the UE immediately (initial deployment bring-up).
@@ -331,11 +335,12 @@ func (u *UE) DeliverDownlink(absSlot uint64, pkt *fronthaul.Packet) {
 		return
 	}
 	u.advanceChannel(absSlot)
-	iq, err := pkt.IQ()
+	iq, err := pkt.AppendIQ(u.dlIQ[:0])
 	if err != nil {
 		return
 	}
-	rx := u.Channel.Transmit(iq)
+	u.dlIQ = iq
+	rx := u.Channel.TransmitInto(iq, iq)
 	out := u.codec.DecodeBlock(rx, absSlot, u.Cfg.ID, dsp.Modulation(sec.ModBits),
 		u.harqDL, sec.HARQID, sec.NewData, phy.DefaultFECIter)
 	u.cqi.Observe(out.SNRdB)
@@ -363,8 +368,15 @@ func (u *UE) deliverPackets(pkts [][]byte) {
 }
 
 // PullUplink produces the UE's uplink transmission for a granted slot:
-// channel-distorted block symbols plus the sidecar transport-block bytes.
-// ok is false when the UE has no grant (or is detached) — radio silence.
+// channel-distorted block symbols, padded to whole PRBs, plus the sidecar
+// transport-block bytes. ok is false when the UE has no grant (or is
+// detached) — radio silence.
+//
+// iq is a mem.GetComplexCap lease that passes to the caller, who returns it
+// with mem.PutComplex; aux stays the UE's HARQ buffer, valid until this
+// UE's next PullUplink. The call touches only this UE's own state (grants,
+// RLC, HARQ-TX map, channel stream, stats) and the concurrency-safe pools,
+// so the RU may pull different UEs from different goroutines at once.
 func (u *UE) PullUplink(absSlot uint64) (iq []complex128, aux []byte, ok bool) {
 	if u.state != StateConnected || u.codec == nil {
 		return nil, nil, false
@@ -379,8 +391,9 @@ func (u *UE) PullUplink(absSlot uint64) (iq []complex128, aux []byte, ok bool) {
 	var tb []byte
 	if sec.NewData {
 		if old, held := u.harqTx[sec.HARQID]; held {
-			// The process's previous transmission was serialized onto the
-			// wire during its own PullUplink, so no alias outlives it.
+			// The RU serialized the process's previous transmission onto
+			// the wire before that slot's collection returned, so no alias
+			// outlives it.
 			mem.PutBytes(old)
 		}
 		tb = u.ulTx.AppendPDU(mem.GetBytesCap(int(sec.TBBytes)), int(sec.TBBytes))
@@ -396,17 +409,25 @@ func (u *UE) PullUplink(absSlot uint64) (iq []complex128, aux []byte, ok bool) {
 	// Scrambling keys on the transmission slot. Descrambling happens
 	// before HARQ combining on the receive side, so retransmissions under
 	// different slot keys still combine coherently over the codeword.
-	clean := phy.PadSymbols(u.codec.EncodeBlock(tb, absSlot, u.Cfg.ID, dsp.Modulation(sec.ModBits)))
+	//
+	// Encode, pad and channel all work in the one lease: it is sized for
+	// the padded block so nothing grows, the pad writes explicit zeros over
+	// whatever the lease held, and the channel runs in place.
+	m := dsp.Modulation(sec.ModBits)
+	iq = u.codec.AppendEncodeBlock(mem.GetComplexCap(u.codec.PaddedSymbolsPerBlock(m)),
+		tb, absSlot, u.Cfg.ID, m)
+	iq = phy.PadSymbols(iq)
 	u.Stats.ULBlocksSent++
-	return u.Channel.Transmit(clean), tb, true
+	return u.Channel.TransmitInto(iq, iq), tb, true
 }
 
-// CollectUCI drains the queued UCI reports (the RU ships them on the UL
-// C-plane every slot).
-func (u *UE) CollectUCI() []fapi.UCI {
-	out := u.uciQ
-	u.uciQ = nil
-	return out
+// CollectUCI drains the queued UCI reports by appending them to dst (the RU
+// ships them on the UL C-plane every slot). The queue keeps its backing
+// array for the next slot's reports.
+func (u *UE) CollectUCI(dst []fapi.UCI) []fapi.UCI {
+	dst = append(dst, u.uciQ...)
+	u.uciQ = u.uciQ[:0]
+	return dst
 }
 
 // LastSync returns the time of the last downlink reception.

@@ -162,7 +162,7 @@ func TestDownlinkDecodeAndDelivery(t *testing.T) {
 		t.Fatalf("delivered %q", got)
 	}
 	// ACK queued for the RU to collect.
-	uci := u.CollectUCI()
+	uci := u.CollectUCI(nil)
 	foundAck := false
 	for _, r := range uci {
 		if r.HasFeedback && r.ACK && r.HARQID == 2 {
@@ -186,7 +186,7 @@ func TestDownlinkLowSNRNacks(t *testing.T) {
 		t.Fatalf("DLBlocksFail = %d", u.Stats.DLBlocksFail)
 	}
 	nack := false
-	for _, r := range u.CollectUCI() {
+	for _, r := range u.CollectUCI(nil) {
 		if r.HasFeedback && !r.ACK {
 			nack = true
 		}
@@ -306,11 +306,11 @@ func TestCQIReportingPeriodic(t *testing.T) {
 	l2tx := newSegmenter()
 	l2tx.Enqueue([]byte("x"))
 	deliverDL(t, u, 5, l2tx.BuildPDU(100))
-	u.CollectUCI()
+	u.CollectUCI(nil)
 	// Control on a multiple of the period queues a CQI-only report.
 	u.DeliverControl(10, nil)
 	found := false
-	for _, r := range u.CollectUCI() {
+	for _, r := range u.CollectUCI(nil) {
 		if !r.HasFeedback && r.CQIdB > 15 {
 			found = true
 		}

@@ -13,6 +13,15 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== bench module (vet + short tests) =="
+# bench/ is a module of its own that `go build ./...` at the root never
+# compiles, and it calls the allocating wrappers the product no longer uses
+# on its hot paths (Channel.Transmit, Codec.EncodeBlock, Packet.AppendIQ,
+# fronthaul.NewUplinkIQ): a signature change must fail here, not in the
+# benchmark run.
+go -C bench vet ./...
+go -C bench test -short ./...
+
 echo "== go test -race (sequential schedule, SLINGSHOT_WORKERS=1) =="
 SLINGSHOT_WORKERS=1 go test -race ./...
 
@@ -128,6 +137,22 @@ B="$(SLINGSHOT_WORKERS=4 go run -race ./cmd/experiments $CORR_ARGS -shards 4)"
 if [ "$A" != "$B" ]; then
     echo "correlated fleet report diverged between shards=1 and shards=4:" >&2
     printf '--- shards=1 ---\n%s\n--- shards=4 ---\n%s\n' "$A" "$B" >&2
+    exit 1
+fi
+printf '%s\n' "$A" | grep fingerprint
+
+echo "== dense-cell determinism lane (-race, workers=1 vs workers=4) =="
+# One cell of 96 UEs is the shape that crosses the RU's parallel-uplink
+# floor: the per-UE uplink synthesis fans out on the worker pool, so two
+# UEs of one cell run on different goroutines. The report must not notice.
+DENSE_ARGS="-cells 1 -ues 96 -seed 3 -horizon 200ms"
+# shellcheck disable=SC2086
+A="$(SLINGSHOT_WORKERS=1 go run -race ./cmd/experiments $DENSE_ARGS)"
+# shellcheck disable=SC2086
+B="$(SLINGSHOT_WORKERS=4 go run -race ./cmd/experiments $DENSE_ARGS)"
+if [ "$A" != "$B" ]; then
+    echo "dense-cell report diverged between workers=1 and workers=4:" >&2
+    printf '--- workers=1 ---\n%s\n--- workers=4 ---\n%s\n' "$A" "$B" >&2
     exit 1
 fi
 printf '%s\n' "$A" | grep fingerprint
