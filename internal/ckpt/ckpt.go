@@ -31,8 +31,11 @@ const Magic = "SLNGCKPT"
 // Version is the current snapshot codec version. Decode rejects any other
 // value: snapshot layouts are pinned per-version and there are no
 // cross-version migrations (a snapshot is a debugging artifact, not an
-// archival format — see DESIGN.md §14 for the policy).
-const Version uint16 = 1
+// archival format — see DESIGN.md §14 for the policy). The version also
+// moves when the layout does not but what a replay computes does: 2 is
+// random stream v2 (ziggurat noise, word-wise scrambler and pilots), under
+// which a version-1 image could only fail Restore's byte comparison.
+const Version uint16 = 2
 
 // Snapshot is one captured barrier.
 type Snapshot struct {

@@ -3,7 +3,10 @@ package ckpt
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -79,19 +82,11 @@ func TestDecodeRejects(t *testing.T) {
 			// restamp the fingerprint so only the version is wrong.
 			off := 4 + len(Magic)
 			b[off], b[off+1] = 0xBE, 0xEF
-			fp := wire.Hash64(b[:len(b)-8])
-			for i := 0; i < 8; i++ {
-				b[len(b)-8+i] = byte(fp >> (56 - 8*i))
-			}
-			return b
+			return restamp(b)
 		}},
 		{"bad-magic", func(b []byte) []byte {
 			b[4] ^= 0xFF
-			fp := wire.Hash64(b[:len(b)-8])
-			for i := 0; i < 8; i++ {
-				b[len(b)-8+i] = byte(fp >> (56 - 8*i))
-			}
-			return b
+			return restamp(b)
 		}},
 	}
 	for _, tc := range cases {
@@ -102,6 +97,55 @@ func TestDecodeRejects(t *testing.T) {
 				t.Fatalf("corrupt snapshot accepted: %+v", s)
 			}
 		})
+	}
+}
+
+// restamp rewrites b's trailing fingerprint to match its body, so a test
+// can corrupt one field and nothing else.
+func restamp(b []byte) []byte {
+	fp := wire.Hash64(b[:len(b)-8])
+	for i := 0; i < 8; i++ {
+		b[len(b)-8+i] = byte(fp >> (56 - 8*i))
+	}
+	return b
+}
+
+// TestDecodeRefusesPreviousVersion: version 1 images were written under
+// random stream v1. Restore replays from the config and byte-compares, so
+// such an image would "diverge" at its first noisy block with a section
+// error that points at the wrong culprit; Decode must turn it away up
+// front, by version, whatever else about it is intact.
+func TestDecodeRefusesPreviousVersion(t *testing.T) {
+	b := Capture(tinyFleet(t, 3, 10)).Encode()
+	off := 4 + len(Magic)
+	if got := uint16(b[off])<<8 | uint16(b[off+1]); got != Version || Version != 2 {
+		t.Fatalf("image carries version %d, Version is %d, want both 2", got, Version)
+	}
+	b[off], b[off+1] = 0, 1
+	_, err := Decode(restamp(b))
+	if err == nil || !strings.Contains(err.Error(), "snapshot version 1, this build reads only version 2") {
+		t.Fatalf("version-1 image: err = %v, want the version refusal", err)
+	}
+}
+
+// TestFuzzCorpusStartsFromAcceptedImage keeps FuzzCheckpointDecode's
+// on-disk corpus useful across version bumps: seed-0 must be an image this
+// build accepts, or the fuzzer starts from nothing but rejects.
+func TestFuzzCorpusStartsFromAcceptedImage(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzCheckpointDecode/seed-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("seed-0 is not a one-[]byte fuzz corpus file: %.40q", raw)
+	}
+	img, err := strconv.Unquote(strings.TrimSuffix(body, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode([]byte(img)); err != nil {
+		t.Fatalf("seed-0 is refused (re-capture the corpus after a Version bump): %v", err)
 	}
 }
 

@@ -97,3 +97,17 @@ func BenchmarkTransmitInto(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nSym), "ns/sym")
 }
+
+// BenchmarkNormFill is the noise share of BenchmarkTransmitInto: the two
+// normal draws per sample of one sampled block, in one batch.
+func BenchmarkNormFill(b *testing.B) {
+	const nSym = 168
+	rng := sim.NewRNG(33)
+	var z [2 * nSym]float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng.NormFill(z[:])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nSym), "ns/sym")
+}

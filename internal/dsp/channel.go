@@ -83,9 +83,18 @@ func (c *Channel) TransmitInto(dst, symbols []complex128) []complex128 {
 	}
 	h := c.Gain()
 	sigma := math.Sqrt(c.NoiseVar() / 2)
-	for i, s := range symbols {
-		noise := complex(c.rng.Norm()*sigma, c.rng.Norm()*sigma)
-		dst[i] = s*h + noise
+	// Noise is drawn noiseChunk samples at a time into 1 KiB of stack, I
+	// then Q per sample: the same draws, in the same order, as two Norm
+	// calls each.
+	const noiseChunk = 64
+	var z [2 * noiseChunk]float64
+	for i := 0; i < n; i += noiseChunk {
+		m := min(noiseChunk, n-i)
+		c.rng.NormFill(z[:2*m])
+		d, s := dst[i:i+m], symbols[i:i+m]
+		for j := range d {
+			d[j] = s[j]*h + complex(z[2*j]*sigma, z[2*j+1]*sigma)
+		}
 	}
 	return dst
 }
@@ -152,17 +161,16 @@ func PilotsInto(dst []complex128, n int, seed uint64) []complex128 {
 		dst = make([]complex128, n)
 	}
 	dst = dst[:n]
-	inv := 1 / math.Sqrt2
+	// Two bits per pilot, 32 pilots per draw: bit 2j of the word is pilot
+	// j's I sign, bit 2j+1 its Q sign, moved straight into the float's.
+	amp := math.Float64bits(1 / math.Sqrt2)
+	var bits uint64
 	for i := range dst {
-		bits := rng.Uint64()
-		re, im := inv, inv
-		if bits&1 != 0 {
-			re = -inv
+		if i%32 == 0 {
+			bits = rng.Uint64()
 		}
-		if bits&2 != 0 {
-			im = -inv
-		}
-		dst[i] = complex(re, im)
+		dst[i] = complex(math.Float64frombits(amp|bits<<63), math.Float64frombits(amp|bits>>1<<63))
+		bits >>= 2
 	}
 	return dst
 }

@@ -47,7 +47,7 @@ func sameBits(a, b []complex128) bool {
 func TestTransmitIntoMatchesReference(t *testing.T) {
 	stale := complex(math.NaN(), math.Inf(1)) // a recycled lease's leftovers
 	for _, fadeStd := range []float64{0, 1.5} {
-		for _, n := range []int{0, 1, 13, 168} {
+		for _, n := range []int{0, 1, 13, 64, 65, 168, 200} { // 64 is TransmitInto's noise chunk
 			tx := Modulate(randomBits(sim.NewRNG(uint64(n)+5), n*4), QAM16)
 
 			ref := fadedChannel(fadeStd)
@@ -127,5 +127,46 @@ func TestTransmitIntoZeroAllocs(t *testing.T) {
 	buf := Modulate(randomBits(sim.NewRNG(9), 168*4), QAM16)
 	if avg := testing.AllocsPerRun(50, func() { ch.TransmitInto(buf, buf) }); avg != 0 {
 		t.Fatalf("TransmitInto allocates %.1f times per call, want 0", avg)
+	}
+}
+
+// TestPilotsWordWise pins the pilot kernel's use of its stream — one draw
+// per 32 pilots, bit 2j pilot j's I sign and bit 2j+1 its Q sign — against
+// the draw-by-draw spelling, at lengths on both sides of the word boundary.
+// Transmitter and receiver each derive the block's pilots for themselves,
+// so a length-dependent sequence would break every channel estimate.
+func TestPilotsWordWise(t *testing.T) {
+	const seed = 0xC0FFEE
+	amp := 1 / math.Sqrt2
+	stale := complex(math.NaN(), math.Inf(1))
+	for _, n := range []int{0, 1, 31, 32, 33, 100} {
+		rng := sim.NewRNG(seed | 1)
+		want := make([]complex128, n)
+		var word uint64
+		for i := range want {
+			if i%32 == 0 {
+				word = rng.Uint64()
+			}
+			re, im := amp, amp
+			if word>>(2*(i%32))&1 != 0 {
+				re = -amp
+			}
+			if word>>(2*(i%32)+1)&1 != 0 {
+				im = -amp
+			}
+			want[i] = complex(re, im)
+		}
+
+		dst := make([]complex128, n+3)
+		for i := range dst {
+			dst[i] = stale
+		}
+		tx, rx := PilotsInto(dst, n, seed), Pilots(n, seed)
+		if !sameBits(tx, want) || !sameBits(rx, want) {
+			t.Fatalf("n=%d: pilots differ from the draw-by-draw sequence", n)
+		}
+		if n > 0 && &tx[0] != &dst[0] {
+			t.Fatalf("n=%d: sufficient dst was reallocated", n)
+		}
 	}
 }

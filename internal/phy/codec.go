@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"sync"
 
 	"slingshot/internal/dsp"
@@ -50,11 +51,37 @@ func NewCodec(k, n, mantissa int, seed uint64) *Codec {
 	}
 }
 
-// scrambleMask derives the cell/slot/UE-specific scrambling bits. Both
-// ends derive the same mask; a receiver descrambling with the wrong
+// scrambleMask derives the cell/slot/UE-specific scrambling bits, one per
+// coded bit, 64 to a draw of the mask stream, appended to dst.
+// Both ends derive the same mask; a receiver descrambling with the wrong
 // parameters (or garbage IQ) sees random LLR signs and fails CRC.
-func (c *Codec) scrambleMask(slot uint64, ue uint16) *sim.RNG {
-	return sim.NewRNG(c.Seed ^ slot*0x9E3779B97F4A7C15 ^ uint64(ue)<<17 | 1)
+func (c *Codec) scrambleMask(dst []uint64, slot uint64, ue uint16) []uint64 {
+	rng := sim.NewRNG(c.Seed ^ slot*0x9E3779B97F4A7C15 ^ uint64(ue)<<17 | 1)
+	for n := 0; n < c.Code.N; n += 64 {
+		dst = append(dst, rng.Uint64())
+	}
+	return dst
+}
+
+// maskBit returns coded bit i's scrambling bit. It is the one place that
+// knows how a mask is laid out, so the two ends below cannot drift apart.
+func maskBit(mask []uint64, i int) uint64 {
+	return mask[i>>6] >> (uint(i) & 63) & 1
+}
+
+// scrambleBits is the transmit end: coded bits (0/1 per byte) XOR the mask.
+func scrambleBits(coded []byte, mask []uint64) {
+	for i := range coded {
+		coded[i] ^= byte(maskBit(mask, i))
+	}
+}
+
+// descrambleLLRs is the receive end: a set mask bit negates the LLR, by
+// sign-bit flip — negation for every float64, with no branch to mispredict.
+func descrambleLLRs(llr []float64, mask []uint64) {
+	for i, v := range llr {
+		llr[i] = math.Float64frombits(math.Float64bits(v) ^ maskBit(mask, i)<<63)
+	}
 }
 
 // pilotSeed mixes the cell seed with slot and UE for the pilot sequence.
@@ -70,6 +97,7 @@ type encodeBuf struct {
 	sample []byte
 	bits   []byte
 	coded  []byte
+	mask   []uint64
 	pilots []complex128
 }
 
@@ -132,10 +160,8 @@ func (c *Codec) AppendEncodeBlock(dst []complex128, tb []byte, slot uint64, ue u
 	for i := c.Code.N; i < padN; i++ {
 		coded[i] = 0
 	}
-	mask := c.scrambleMask(slot, ue)
-	for i := 0; i < c.Code.N; i++ {
-		coded[i] ^= byte(mask.Uint64() & 1)
-	}
+	eb.mask = c.scrambleMask(eb.mask[:0], slot, ue)
+	scrambleBits(coded[:c.Code.N], eb.mask)
 
 	eb.pilots = dsp.PilotsInto(eb.pilots, c.PilotLen, c.pilotSeed(slot, ue))
 	dst = append(dst, eb.pilots...)
@@ -175,6 +201,7 @@ type blockBuf struct {
 	pilots []complex128
 	iq     []complex128
 	llr    []float64
+	mask   []uint64
 	llri8  []int8 // quantized lane staging (SLINGSHOT_LLR=i8 only)
 	info   []byte
 	crc    []byte
@@ -238,12 +265,8 @@ func (c *Codec) PrepareBlock(rx []complex128, slot uint64, ue uint16, m dsp.Modu
 		return pb
 	}
 	llr := buf.llr[:c.Code.N]
-	mask := c.scrambleMask(slot, ue)
-	for i := range llr {
-		if mask.Uint64()&1 == 1 {
-			llr[i] = -llr[i]
-		}
-	}
+	buf.mask = c.scrambleMask(buf.mask[:0], slot, ue)
+	descrambleLLRs(llr, buf.mask)
 	if pool != nil {
 		// Copy the combined LLRs back into the recycled buffer so the
 		// decoder never aliases the live HARQ soft buffer.

@@ -964,9 +964,14 @@ func (p *PHY) applyMIMOError(c *cell, ue uint16, iq []complex128) {
 		frac := float64(t) / float64(n)
 		capDB := p.Cfg.MIMOUntrainedCapDB + (42-p.Cfg.MIMOUntrainedCapDB)*frac
 		sigma := math.Pow(10, -capDB/20)
-		for i := range iq {
-			e := complex(p.rng.Norm()*sigma, p.rng.Norm()*sigma)
-			iq[i] += iq[i] * e
+		var z [128]float64 // 64 samples' I and Q error per NormFill
+		for len(iq) > 0 {
+			chunk := iq[:min(len(iq), len(z)/2)]
+			p.rng.NormFill(z[:2*len(chunk)])
+			for i := range chunk {
+				chunk[i] += chunk[i] * complex(z[2*i]*sigma, z[2*i+1]*sigma)
+			}
+			iq = iq[len(chunk):]
 		}
 	}
 	c.mimoTrain[ue] = t + 1

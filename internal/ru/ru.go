@@ -150,10 +150,10 @@ func (r *RU) sendStatus(slot uint64) {
 }
 
 // minParallelUEs is the attached-UE count below which collectUplink skips
-// the worker pool. A parked worker joins a batch only some 15 UEs' worth of
+// the worker pool. A parked worker joins a batch only some 30 UEs' worth of
 // synthesis after it is sent for, so a smaller cell would pay for the
 // wake-up and do all the work on the caller anyway (DESIGN.md §8).
-const minParallelUEs = 16
+const minParallelUEs = 32
 
 // collectUplink samples the slot's uplink as a slot batch of the same
 // shape as phy.transmitDL (less its leading phase: there are no shared RNG

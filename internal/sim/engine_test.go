@@ -205,25 +205,6 @@ func TestRNGIntnRange(t *testing.T) {
 	}
 }
 
-func TestRNGNormMoments(t *testing.T) {
-	r := NewRNG(11)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.Norm()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if mean < -0.02 || mean > 0.02 {
-		t.Errorf("mean = %f, want ~0", mean)
-	}
-	if variance < 0.97 || variance > 1.03 {
-		t.Errorf("variance = %f, want ~1", variance)
-	}
-}
-
 func TestRNGBoolProbability(t *testing.T) {
 	r := NewRNG(13)
 	n, hits := 100000, 0

@@ -66,14 +66,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Norm returns a standard normal sample (Box-Muller).
-func (r *RNG) Norm() float64 {
-	// Avoid log(0).
-	u1 := 1 - r.Float64()
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // NormMeanStd returns a normal sample with the given mean and std deviation.
 func (r *RNG) NormMeanStd(mean, std float64) float64 {
 	return mean + std*r.Norm()

@@ -59,6 +59,14 @@ SLINGSHOT_WORKERS=4 go test -race ./internal/fronthaul -count=1 \
     -run 'TestBFPMatchesReference|TestBFPHostile'
 SLINGSHOT_WORKERS=4 go test -race ./internal/phy -count=1 \
     -run 'TestLLRLane'
+# The random stream's batch kernels, same discipline: NormFill against
+# Norm draw by draw, the generator's distribution gate and golden draws,
+# TransmitInto and the word-wise pilots against their scalar spellings, the
+# scrambler's two ends against each other, and the BLER-vs-SNR table
+# against the bands recorded under stream v1.
+SLINGSHOT_WORKERS=4 go test -race ./internal/sim -count=1 -run 'Norm|Zig'
+SLINGSHOT_WORKERS=4 go test -race ./internal/dsp -count=1 -run 'TestTransmitInto|TestPilots'
+SLINGSHOT_WORKERS=4 go test -race ./internal/phy -count=1 -run 'TestBLER|TestScrambl|TestCodec'
 
 echo "== scheduler differential lane (-race, two-tier queue vs reference heap) =="
 # The event core's two-tier calendar/heap queue is pinned to the seed's
