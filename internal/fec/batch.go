@@ -62,34 +62,66 @@ var batchCtxPool = sync.Pool{New: func() any {
 	return b
 }}
 
-// runUnit decodes one grouped unit: a full lane group through the SoA
-// kernel, or a leftover run job-by-job.
+// runUnit decodes one grouped unit on a worker: a leftover run job-by-job,
+// or a full lane group. A lane group first runs the syndrome-first
+// pre-pass on all four lanes at once (syndrome.go) and records the lanes
+// that pass; a group with no passing lane goes through the SoA kernel, and
+// otherwise only the failed lanes decode, through the scalar iterative
+// kernel.
 func (b *batchCtx) runUnit(u int) {
 	start, n := int(b.units[u][0]), int(b.units[u][1])
-	if n == SoALanes {
-		c := b.jobs[start].Code
-		jobs := b.jobs[start : start+n]
-		// i8-lane jobs dequantize into borrowed scalar scratch before the
-		// SoA kernel loads lanes; the kernel itself only ever sees floats.
-		var tmp [SoALanes]*DecodeScratch
-		for l := range jobs {
-			if jobs[l].LLRI8 != nil {
-				s := c.getScratch()
-				tmp[l] = s
-				jobs[l].LLR = s.dequantLLRI8(jobs[l].LLRI8, jobs[l].LLRI8Step)
-			}
-		}
-		c.decodeSoA(b.results[start:start+n], jobs)
-		for l, s := range &tmp {
-			if s != nil {
-				jobs[l].LLR = nil
-				c.putScratch(s)
-			}
+	if n != SoALanes {
+		for i := start; i < start+n; i++ {
+			b.decode(i)
 		}
 		return
 	}
-	for i := start; i < start+n; i++ {
-		b.decode(i)
+	c := b.jobs[start].Code
+	jobs := b.jobs[start : start+n]
+	results := b.results[start : start+n]
+	// i8-lane jobs dequantize into borrowed scalar scratch before the
+	// pre-pass and the kernels load lanes; both only ever see floats.
+	var tmp [SoALanes]*DecodeScratch
+	for l := range jobs {
+		if jobs[l].LLRI8 != nil {
+			s := c.getScratch()
+			tmp[l] = s
+			jobs[l].LLR = s.dequantLLRI8(jobs[l].LLRI8, jobs[l].LLRI8Step)
+		}
+	}
+	c.checkLanes(jobs)
+	ss := c.getSoAScratch()
+	bad := c.syndromeSoA(jobs, ss.hardw)
+	if bad == allBad {
+		c.decodeSoA(results, jobs, ss)
+	} else {
+		done := c.soaFinish(results, jobs, ss.hardw, 0, bad, 1, false)
+		// An i8 lane decodes in the scratch holding its floats; float lanes
+		// share one more, free again once finish has copied the info out.
+		var spare *DecodeScratch
+		for l := range jobs {
+			if done&(0xff<<(8*l)) != 0 {
+				continue
+			}
+			s := tmp[l]
+			if s == nil {
+				if spare == nil {
+					spare = c.getScratch()
+				}
+				s = spare
+			}
+			results[l] = jobs[l].finish(c.decodeIter(jobs[l].LLR, jobs[l].MaxIters, s))
+		}
+		if spare != nil {
+			c.putScratch(spare)
+		}
+	}
+	c.putSoAScratch(ss)
+	for l, s := range &tmp {
+		if s != nil {
+			jobs[l].LLR = nil
+			c.putScratch(s)
+		}
 	}
 }
 
@@ -100,7 +132,14 @@ func (b *batchCtx) decode(i int) {
 	if j.LLRI8 != nil {
 		llr = s.dequantLLRI8(j.LLRI8, j.LLRI8Step)
 	}
-	res := j.Code.DecodeWithScratch(llr, j.MaxIters, s)
+	b.results[i] = j.finish(j.Code.DecodeWithScratch(llr, j.MaxIters, s))
+	j.Code.putScratch(s)
+}
+
+// finish moves a scratch-aliased result's info bits into j.Info when its
+// capacity allows, else into a fresh copy, so the result outlives the
+// scratch.
+func (j *DecodeJob) finish(res DecodeResult) DecodeResult {
 	if cap(j.Info) >= j.Code.K {
 		j.Info = j.Info[:j.Code.K]
 		copy(j.Info, res.Info)
@@ -108,8 +147,7 @@ func (b *batchCtx) decode(i int) {
 	} else {
 		res.Info = append([]byte(nil), res.Info...)
 	}
-	j.Code.putScratch(s)
-	b.results[i] = res
+	return res
 }
 
 // DecodeBatchInto is DecodeBatch writing into a caller-provided results
@@ -117,11 +155,14 @@ func (b *batchCtx) decode(i int) {
 // decodes a slot's blocks with zero allocations at steady state: scratch
 // is pooled, results land in results[i], and info bits land in jobs[i].Info.
 //
-// Runs of SoALanes consecutive jobs sharing one (Code, MaxIters) are
-// decoded in lockstep by the SoA lane-group kernel (soa.go); leftovers and
-// heterogeneous jobs take the single-block kernel. Both paths are
-// bit-exact with the reference decoder, so results are independent of the
-// grouping — and therefore of batch boundaries, worker count, and pooling.
+// Runs of SoALanes consecutive jobs sharing one (Code, MaxIters) form a
+// lane group: the syndrome-first pre-pass checks the group's four blocks
+// at once on the worker, and blocks it cannot finish are decoded in
+// lockstep by the SoA lane-group kernel (soa.go) when none of the four
+// passed, else one by one. Leftovers and heterogeneous jobs take the
+// single-block path. Every path is bit-exact with the reference decoder,
+// so results are independent of the grouping — and therefore of batch
+// boundaries, worker count, and pooling.
 func DecodeBatchInto(results []DecodeResult, jobs []DecodeJob) {
 	if len(results) != len(jobs) {
 		panic("fec: DecodeBatchInto results/jobs length mismatch")

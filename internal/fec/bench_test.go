@@ -1,8 +1,10 @@
 package fec
 
 import (
+	"math"
 	"testing"
 
+	"slingshot/internal/dsp"
 	"slingshot/internal/sim"
 )
 
@@ -32,6 +34,27 @@ func benchCodeAndLLR() (*Code, []float64) {
 	return c, benchLLR(c, 7)
 }
 
+// awgnLLR is a BPSK codeword through AWGN at the given Es/N0 (linear).
+func awgnLLR(coded []byte, snr float64, rng *sim.RNG) []float64 {
+	llr := make([]float64, len(coded))
+	for i, bit := range coded {
+		s := 1.0
+		if bit == 1 {
+			s = -1
+		}
+		llr[i] = 2*snr*s + rng.Norm()*math.Sqrt(2*snr)
+	}
+	return llr
+}
+
+// qam16LLR is a codeword QAM16-modulated through a flat 16 dB channel and
+// soft-demodulated: the operating point of the simulator's dense cell.
+func qam16LLR(coded []byte, rng *sim.RNG) []float64 {
+	ch := dsp.NewChannel(16, 0, 0, rng.Fork(1))
+	rx := ch.Transmit(dsp.Modulate(coded, dsp.QAM16))
+	return dsp.Demodulate(rx, dsp.QAM16, ch.NoiseVar())[:len(coded)]
+}
+
 // BenchmarkFECDecode tracks the min-sum decode kernel as the PHY hot path
 // runs it since the SoA rework: DecodeBatchInto advancing a lane group of
 // SoALanes same-code blocks in lockstep, pooled scratch, zero allocations,
@@ -39,7 +62,10 @@ func benchCodeAndLLR() (*Code, []float64) {
 // baseline decoded (BENCH_2026-08-06_baseline.json), so the ns/op delta
 // against the baseline is the per-block kernel speedup, workload held
 // fixed. BenchmarkFECDecodeSingle tracks the scalar path the batch falls
-// back to for leftover jobs.
+// back to for leftover jobs. The ≈ 6 dB block never passes the
+// syndrome-first pre-pass, so both measure a pre-pass miss: the kernel
+// plus the pre-pass's early exit. BenchmarkFECDecodeClean* and
+// BenchmarkFECDecodeSlotMixed measure the blocks it finishes.
 func BenchmarkFECDecode(b *testing.B) {
 	c, llr := benchCodeAndLLR()
 	jobs := make([]DecodeJob, SoALanes)
@@ -133,4 +159,110 @@ func BenchmarkFECDecodeParallel(b *testing.B) {
 	if !results[0].OK {
 		b.Fatal("steady-state decode regressed")
 	}
+}
+
+// cleanLLR is a codeword at ≈ 16 dB Es/N0 (BPSK), far enough above the
+// waterfall that its hard decisions satisfy every check: the block the
+// syndrome-first pre-pass finishes alone.
+func cleanLLR(c *Code, seed uint64) []float64 {
+	rng := sim.NewRNG(seed)
+	info := make([]byte, c.K)
+	for i := range info {
+		info[i] = byte(rng.Uint64() & 1)
+	}
+	return awgnLLR(c.Encode(info), 40, rng)
+}
+
+// BenchmarkFECDecodeClean is BenchmarkFECDecode's lane group on a clean
+// block: one op = one block through DecodeBatchInto, every lane finished by
+// the pre-pass on the worker.
+func BenchmarkFECDecodeClean(b *testing.B) {
+	c := NewCode(256, 512, 42)
+	llr := cleanLLR(c, 7)
+	jobs := make([]DecodeJob, SoALanes)
+	for i := range jobs {
+		jobs[i] = DecodeJob{Code: c, LLR: llr, MaxIters: 8,
+			Info: make([]byte, 0, c.K)}
+	}
+	results := make([]DecodeResult, SoALanes)
+	DecodeBatchInto(results, jobs) // warm worker + scratch pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	calls := 0
+	for i := 0; i < b.N; i += SoALanes {
+		DecodeBatchInto(results, jobs)
+		calls++
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(calls*SoALanes), "ns/op")
+	if !results[0].OK || results[0].Iterations != 1 {
+		b.Fatal("clean block did not decode in one iteration")
+	}
+}
+
+// BenchmarkFECDecodeCleanSingle is the scalar entry point on the clean
+// block: the pre-pass cost per block, against the full iteration-1 kernel
+// pass the block used to pay.
+func BenchmarkFECDecodeCleanSingle(b *testing.B) {
+	c := NewCode(256, 512, 42)
+	llr := cleanLLR(c, 7)
+	s := c.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	ok := 0
+	for i := 0; i < b.N; i++ {
+		if c.DecodeWithScratch(llr, 8, s).OK {
+			ok++
+		}
+	}
+	if ok != b.N {
+		b.Fatal("clean block failed to decode")
+	}
+}
+
+// BenchmarkFECDecodeSlotMixed is one slot of 16 QAM16 blocks through a
+// flat 16 dB channel — the dense cell's shape: some lane groups finish in
+// the pre-pass, some mix finished and iterating lanes. Reports ns/block
+// and the share of blocks the pre-pass finished.
+func BenchmarkFECDecodeSlotMixed(b *testing.B) {
+	c := NewCode(256, 512, 42)
+	rng := sim.NewRNG(16)
+	const blocks = 16
+	jobs := make([]DecodeJob, blocks)
+	for i := range jobs {
+		info := make([]byte, c.K)
+		for k := range info {
+			info[k] = byte(rng.Uint64() & 1)
+		}
+		jobs[i] = DecodeJob{Code: c, LLR: qam16LLR(c.Encode(info), rng), MaxIters: 8,
+			Info: make([]byte, 0, c.K)}
+	}
+	hard := make([]byte, c.N)
+	clean := 0
+	for i := range jobs {
+		if c.parityOKFlat(signBits(jobs[i].LLR, hard)) {
+			clean++
+		}
+	}
+	results := make([]DecodeResult, blocks)
+	DecodeBatchInto(results, jobs) // warm worker + scratch pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DecodeBatchInto(results, jobs)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+	b.ReportMetric(float64(clean)/blocks, "clean/block")
+}
+
+// signBits writes the LLRs' hard decisions (1 iff negative) into hard.
+func signBits(llr []float64, hard []byte) []byte {
+	for i, x := range llr {
+		hard[i] = 0
+		if x < 0 {
+			hard[i] = 1
+		}
+	}
+	return hard
 }

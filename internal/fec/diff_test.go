@@ -15,7 +15,8 @@ import (
 
 // TestDecodeMatchesReference drives the scalar kernel and the reference
 // with identical hostile LLRs (pure noise, so many trials never converge
-// and exercise the full-iteration paths).
+// and exercise the full-iteration paths — and none passes the
+// syndrome-first pre-pass; TestSyndromeFirstMatchesIteration1 covers it).
 func TestDecodeMatchesReference(t *testing.T) {
 	c := NewCode(256, 512, 42)
 	rng := sim.NewRNG(99)
@@ -41,11 +42,13 @@ func TestDecodeMatchesReference(t *testing.T) {
 // TestDecodeBatchMatchesReference drives DecodeBatch with ragged batches —
 // SoA lane groups plus leftovers, mixed per-job iteration limits, noisy
 // codewords spanning convergent and non-convergent SNRs — and checks every
-// job against the reference.
+// job against the reference. Trials from 300 on add a high-SNR arm
+// (≈ 10–17 dB), where most blocks finish in the syndrome-first pre-pass
+// and lane groups mix pre-pass and iterating blocks.
 func TestDecodeBatchMatchesReference(t *testing.T) {
 	code := Get(64, 128, 3)
 	rng := sim.NewRNG(99)
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		njobs := 1 + rng.Intn(11)
 		jobs := make([]DecodeJob, njobs)
 		want := make([]DecodeResult, njobs)
@@ -56,6 +59,9 @@ func TestDecodeBatchMatchesReference(t *testing.T) {
 			}
 			coded := code.Encode(info)
 			snr := 0.5 + 3*rng.Float64()
+			if trial >= 300 && rng.Bool(0.8) {
+				snr = 10 + 40*rng.Float64()
+			}
 			llr := make([]float64, code.N)
 			for i, bit := range coded {
 				s := 1.0

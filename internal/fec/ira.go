@@ -21,8 +21,9 @@ type Code struct {
 	// rows[i] holds the info-bit column indices checked by parity row i.
 	rows [][]int
 	// rowVars[i] holds all variable indices of parity row i, including the
-	// accumulator parity columns. Retained for the reference decoder (see
-	// reference.go); the production kernel walks the CSR arrays below.
+	// accumulator parity columns. Retained for the test-only reference
+	// decoder (reference_test.go); the production kernels walk the CSR
+	// arrays below.
 	rowVars [][]int
 	// varRows[v] holds, for each variable (coded bit) v, the parity rows
 	// that reference it.
@@ -309,9 +310,25 @@ func post1(rs *[3]uint64, ab, ms uint64) float64 {
 // Info aliases s.info: it is valid until the next decode with (or pooled
 // reuse of) the same scratch — copy it out before releasing s.
 //
-// The kernel is the flat, branch-free restatement of the textbook min-sum
-// loop retained in reference.go, bit-exact with it for finite LLR inputs
-// (TestDecodeMatchesReference). Three structural changes carry the speedup:
+// A block whose channel hard decisions already satisfy every check is
+// finished by the syndrome-first pre-pass (syndrome.go) with iteration 1's
+// exact result; only the rest reach the iterative kernel, decodeIter.
+func (c *Code) DecodeWithScratch(llr []float64, maxIters int, s *DecodeScratch) DecodeResult {
+	if len(llr) != c.N {
+		panic(fmt.Sprintf("fec: Decode got %d LLRs, code N=%d", len(llr), c.N))
+	}
+	if c.syndromeOK(llr, s.hard) {
+		copy(s.info, s.hard[:c.K])
+		return DecodeResult{Info: s.info, OK: true, Iterations: 1}
+	}
+	return c.decodeIter(llr, maxIters, s)
+}
+
+// decodeIter is the iterative min-sum kernel behind DecodeWithScratch,
+// without the pre-pass. It is the flat, branch-free restatement of the
+// textbook min-sum loop kept as the test oracle (reference_test.go),
+// bit-exact with it for finite LLR inputs (TestDecodeMatchesReference).
+// Three structural changes carry the speedup:
 //
 //   - Messages live in the bit domain: sign products XOR sign bits and the
 //     min1/min2 magnitudes use uint64 min/max (the IEEE ordering of
@@ -332,10 +349,7 @@ func post1(rs *[3]uint64, ab, ms uint64) float64 {
 //     hard-decision pass), and stage the next iteration's v2c only after
 //     the parity check fails, so the final iteration never pays for
 //     messages it will not use.
-func (c *Code) DecodeWithScratch(llr []float64, maxIters int, s *DecodeScratch) DecodeResult {
-	if len(llr) != c.N {
-		panic(fmt.Sprintf("fec: Decode got %d LLRs, code N=%d", len(llr), c.N))
-	}
+func (c *Code) decodeIter(llr []float64, maxIters int, s *DecodeScratch) DecodeResult {
 	if maxIters < 1 {
 		maxIters = 1
 	}
@@ -519,8 +533,8 @@ func (c *Code) DecodeWithScratch(llr []float64, maxIters int, s *DecodeScratch) 
 	return result
 }
 
-// parityOKFlat is checkParity over the CSR layout: per-row XOR of hard
-// bits with an early exit on the first violated check.
+// parityOKFlat checks all M parity rows over the CSR layout: per-row XOR
+// of hard bits with an early exit on the first violated check.
 func (c *Code) parityOKFlat(hard []byte) bool {
 	edgeVar, rowStart := c.edgeVar, c.rowStart
 	for i := 0; i < c.M; i++ {
@@ -539,24 +553,6 @@ func (c *Code) parityOKFlat(hard []byte) bool {
 		if x != 0 {
 			return false
 		}
-	}
-	return true
-}
-
-// checkParity reports whether all M parity checks are satisfied by the
-// hard-decision bits.
-func (c *Code) checkParity(bits []byte) bool {
-	var prev byte
-	for i, row := range c.rows {
-		var s byte
-		for _, v := range row {
-			s ^= bits[v]
-		}
-		s ^= bits[c.K+i] ^ prev
-		if s != 0 {
-			return false
-		}
-		prev = bits[c.K+i]
 	}
 	return true
 }

@@ -58,6 +58,16 @@ func (c *Code) putSoAScratch(s *soaScratch) { c.soaPool.Put(s) }
 // exactly 1 in its byte.
 const allBad = 0x01010101
 
+// checkLanes panics unless every lane's LLR vector is N long, so the
+// lane-group passes can reslice without checking.
+func (c *Code) checkLanes(jobs []DecodeJob) {
+	for l := range jobs {
+		if len(jobs[l].LLR) != c.N {
+			panic(fmt.Sprintf("fec: Decode got %d LLRs, code N=%d", len(jobs[l].LLR), c.N))
+		}
+	}
+}
+
 // soaRow5 reduces one lane of a five-tap row to its sign product and two
 // smallest magnitudes — the straight-line body behind the unrolled check
 // pass. min1/min2/sign are order-independent reductions, so starting the
@@ -95,25 +105,20 @@ func soaPost1(rs *[rowSumStride]uint64, l int, ab, ms uint64) float64 {
 
 // decodeSoA decodes exactly SoALanes jobs — which must share one Code and
 // MaxIters — in lockstep, writing results[l] for jobs[l]. Each lane's
-// arithmetic is bit-identical to DecodeWithScratch (and therefore to the
+// arithmetic is bit-identical to decodeIter (and therefore to the
 // retained reference decoder): the lanes never interact, they only share
 // the graph-index streams. A lane that converges is recorded and frozen at
 // that iteration (its info bits are extracted immediately); the remaining
 // lanes keep iterating until all are resolved or MaxIters is reached.
 // Info handling matches DecodeBatch: results[l].Info lands in jobs[l].Info
-// when its capacity allows, else in a fresh copy.
-func (c *Code) decodeSoA(results []DecodeResult, jobs []DecodeJob) {
+// when its capacity allows, else in a fresh copy. The caller owns s and
+// has checked every lane's LLR length (checkLanes).
+func (c *Code) decodeSoA(results []DecodeResult, jobs []DecodeJob, s *soaScratch) {
 	maxIters := jobs[0].MaxIters
 	if maxIters < 1 {
 		maxIters = 1
 	}
 	n := c.N
-	for l := range jobs {
-		if len(jobs[l].LLR) != n {
-			panic(fmt.Sprintf("fec: Decode got %d LLRs, code N=%d", len(jobs[l].LLR), n))
-		}
-	}
-	s := c.getSoAScratch()
 	// Reslicing to the checked length lets the compiler drop the bounds
 	// checks on the linear per-variable streams below.
 	l0 := jobs[0].LLR[:n]
@@ -138,7 +143,7 @@ func (c *Code) decodeSoA(results []DecodeResult, jobs []DecodeJob) {
 
 	// Iteration 1, check pass: with all-zero c2v the v2c messages are the
 	// channel LLRs, so each row's outgoing messages reduce to three
-	// summary words per lane (see DecodeWithScratch). Every IRA row but the
+	// summary words per lane (see decodeIter). Every IRA row but the
 	// first is exactly InfoWeight info taps plus two parity taps (NewCode),
 	// so the five-tap body is fully unrolled: the five lane-group gathers
 	// issue together and there is no per-edge loop control. min1/min2/sign
@@ -284,7 +289,6 @@ func (c *Code) decodeSoA(results []DecodeResult, jobs []DecodeJob) {
 	iter := 1
 	done = c.soaRecord(results, jobs, hardw, done, iter, maxIters)
 	if done == 0xffffffff {
-		c.putSoAScratch(s)
 		return
 	}
 
@@ -462,7 +466,6 @@ func (c *Code) decodeSoA(results []DecodeResult, jobs []DecodeJob) {
 			}
 		}
 	}
-	c.putSoAScratch(s)
 }
 
 // soaRecord runs the packed parity check and finalizes every lane that
@@ -491,7 +494,14 @@ func (c *Code) soaRecord(results []DecodeResult, jobs []DecodeJob, hardw []uint3
 			break
 		}
 	}
-	last := iter == maxIters
+	return c.soaFinish(results, jobs, hardw, done, bad, iter, iter == maxIters)
+}
+
+// soaFinish records every lane not yet done whose byte of the packed
+// violation mask bad is clear — or every such lane, when last — with its
+// info bits extracted from hardw and the given iteration count, and
+// returns the updated done mask.
+func (c *Code) soaFinish(results []DecodeResult, jobs []DecodeJob, hardw []uint32, done, bad uint32, iter int, last bool) uint32 {
 	for l := 0; l < SoALanes; l++ {
 		if done&(0xff<<(8*l)) != 0 {
 			continue

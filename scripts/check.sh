@@ -13,13 +13,10 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== bench module (vet + short tests) =="
+echo "== bench module (short tests) =="
 # bench/ is a module of its own that `go build ./...` at the root never
-# compiles, and it calls the allocating wrappers the product no longer uses
-# on its hot paths (Channel.Transmit, Codec.EncodeBlock, Packet.AppendIQ,
-# fronthaul.NewUplinkIQ): a signature change must fail here, not in the
-# benchmark run.
-go -C bench vet ./...
+# compiles; the root suite's TestBenchModuleBuilds vets it, and its own
+# short tests run here.
 go -C bench test -short ./...
 
 echo "== go test -race (sequential schedule, SLINGSHOT_WORKERS=1) =="
@@ -50,9 +47,10 @@ echo "== kernel differential lane (-race, hot kernels vs retained references) ==
 # straightforward reference implementation kept in-tree. Run the
 # differential suites under the race detector with the worker pool live —
 # any float reordering, tie-break change, or lane-staging race shows here
-# before it can skew a report.
+# before it can skew a report. TestSyndromeFirst* pins the FEC pre-pass to
+# iteration 1's output on the scalar, i8 and lane-group paths.
 SLINGSHOT_WORKERS=4 go test -race ./internal/fec -count=1 \
-    -run 'TestDecodeMatchesReference|TestDecodeBatchMatchesReference|TestDecodeI8|TestQuantizeLLRI8'
+    -run 'TestDecodeMatchesReference|TestDecodeBatchMatchesReference|TestDecodeI8|TestQuantizeLLRI8|TestSyndromeFirst'
 SLINGSHOT_WORKERS=4 go test -race ./internal/dsp -count=1 \
     -run 'TestDemodulateMatchesReference'
 SLINGSHOT_WORKERS=4 go test -race ./internal/fronthaul -count=1 \
