@@ -8,7 +8,7 @@ import (
 )
 
 // TestDemodulateMatchesReference pins the closed-form max-log demodulator
-// to the retained full-scan oracle (demod_reference.go): bit-exact LLRs for
+// to the retained full-scan oracle (demod_reference_test.go): bit-exact LLRs for
 // every constellation over in-range, saturated, near-zero, and exactly-on-
 // level symbols (the bracket boundaries where a wrong nearest-candidate
 // choice would first show), including the noiseVar clamp path.

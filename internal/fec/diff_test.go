@@ -8,7 +8,7 @@ import (
 )
 
 // These tests pin the flat and SoA kernels to the retained reference
-// decoder (reference.go): same info bits, same OK verdict, same iteration
+// decoder (reference_test.go): same info bits, same OK verdict, same iteration
 // count, for convergent and non-convergent inputs alike. They are the
 // contract that lets the hot paths restructure freely — any reordering that
 // changes a floating-point result or a tie-break shows up here.

@@ -108,3 +108,57 @@ func TestUplinkSlotSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state uplink cycle allocates %.1f times, want <= 30", avg)
 	}
 }
+
+// nullSlotPHY starts one cell on a PHY whose sinks release everything they
+// receive, as the PHY-side Orion and the switch do, and returns a step
+// that feeds the next slot's null configs one slot ahead (like the L2) and
+// runs the PHY through one slot.
+func nullSlotPHY() (step func()) {
+	e := sim.NewEngine()
+	p := New(e, DefaultConfig(1), sim.NewRNG(1))
+	p.SendFAPI = func(m fapi.Message) { fapi.ReleaseDeep(m) }
+	p.SendFronthaul = netmodel.ReleaseFrame
+	p.HandleFAPI(&fapi.ConfigRequest{CellID: 0, NumPRB: 273, MantissaBits: 9, Seed: 99})
+	p.HandleFAPI(&fapi.StartRequest{CellID: 0})
+	p.HandleFAPI(fapi.GetULConfig(0, 0))
+	p.HandleFAPI(fapi.GetDLConfig(0, 0))
+	p.Start()
+	slot := uint64(0)
+	return func() {
+		p.HandleFAPI(fapi.GetULConfig(0, slot+1))
+		p.HandleFAPI(fapi.GetDLConfig(0, slot+1))
+		slot++
+		e.RunUntil(SlotStart(slot))
+	}
+}
+
+// BenchmarkPHYNullSlot is the per-slot host cost of one started cell with
+// nothing scheduled: slot indication, two C-plane packets, the slot rings'
+// lookups and GC.
+func BenchmarkPHYNullSlot(b *testing.B) {
+	step := nullSlotPHY()
+	for range 2 * RingSlots {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		step()
+	}
+}
+
+// TestNullSlotSteadyStateAllocs pins BenchmarkPHYNullSlot's step at zero
+// allocations once the pools and slot rings are warm.
+func TestNullSlotSteadyStateAllocs(t *testing.T) {
+	if mem.DetectorArmed() {
+		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
+	}
+	defer mem.SetEnabled(mem.SetEnabled(true))
+	step := nullSlotPHY()
+	for range 2 * RingSlots {
+		step()
+	}
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Fatalf("steady-state null slot allocates %.2f times, want 0", avg)
+	}
+}

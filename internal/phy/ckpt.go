@@ -1,17 +1,18 @@
 package phy
 
 import (
+	"slices"
 	"sort"
 
 	"slingshot/internal/ckpt/wire"
 )
 
 // SnapshotTo writes the PHY's full state at a TTI barrier: counters, the
-// RNG point, and per-cell protocol state in sorted-cell order. Slot maps
-// (configs, TX_DATA, pending uplink stages) are written as sorted slot
-// keys plus per-slot digests — at a barrier these hold only the pipeline
-// lookahead, and digesting immediately means no pooled FAPI/IQ buffer is
-// retained by the snapshot.
+// RNG point, and per-cell protocol state in sorted-cell order. Slot rings
+// (configs, TX_DATA, pending uplink stages) are written as their slots in
+// ring order, which is ascending, plus per-slot digests — at a barrier
+// these hold only the pipeline lookahead, and digesting immediately means
+// no pooled FAPI/IQ buffer is retained by the snapshot.
 func (p *PHY) SnapshotTo(w *wire.W) {
 	s := &p.Stats
 	w.U64(s.SlotsProcessed)
@@ -60,37 +61,27 @@ func (p *PHY) SnapshotTo(w *wire.W) {
 			w.U32(uint32(c.mimoTrain[uint16(ue)]))
 		}
 
-		snapSlotSet(w, mapSlots(c.ulConfigs))
-		snapSlotSet(w, mapSlots(c.dlConfigs))
-		snapSlotSet(w, mapSlots(c.txData))
-		snapPendingUL(w, c.ulPending)
-		snapULSeen(w, c.ulSeen)
+		snapSlotSet(w, &c.ulConfigs)
+		snapSlotSet(w, &c.dlConfigs)
+		snapSlotSet(w, &c.txData)
+		snapPendingUL(w, &c.ulPending)
+		snapULSeen(w, &c.ulPending)
 		w.U32(uint32(len(c.grantQueue)))
 	}
 }
 
-func mapSlots[V any](m map[uint64]V) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for slot := range m {
-		out = append(out, slot)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func snapSlotSet(w *wire.W, slots []uint64) {
-	w.U32(uint32(len(slots)))
-	for _, slot := range slots {
+func snapSlotSet[T any](w *wire.W, r *SlotRing[T]) {
+	w.U32(uint32(r.Len()))
+	for _, slot := range r.Slots() {
 		w.U64(slot)
 	}
 }
 
-func snapPendingUL(w *wire.W, m map[uint64][]pendingUL) {
-	slots := mapSlots(m)
-	w.U32(uint32(len(slots)))
-	for _, slot := range slots {
+func snapPendingUL(w *wire.W, r *SlotRing[[]pendingUL]) {
+	w.U32(uint32(r.Len()))
+	for _, slot := range r.Slots() {
 		w.U64(slot)
-		blocks := m[slot]
+		blocks, _ := r.Get(slot)
 		w.U32(uint32(len(blocks)))
 		for i := range blocks {
 			b := &blocks[i]
@@ -104,22 +95,21 @@ func snapPendingUL(w *wire.W, m map[uint64][]pendingUL) {
 	}
 }
 
-func snapULSeen(w *wire.W, m map[uint64]map[uint16]bool) {
-	slots := mapSlots(m)
-	w.U32(uint32(len(slots)))
-	for _, slot := range slots {
+// snapULSeen writes, per pending slot, the UEs received in it in id order:
+// the image's received-UE section, derived from the pending lists.
+func snapULSeen(w *wire.W, r *SlotRing[[]pendingUL]) {
+	w.U32(uint32(r.Len()))
+	for _, slot := range r.Slots() {
 		w.U64(slot)
-		seen := m[slot]
-		ues := make([]int, 0, len(seen))
-		for ue := range seen {
-			if seen[ue] {
-				ues = append(ues, int(ue))
-			}
+		blocks, _ := r.Get(slot)
+		ues := make([]uint16, len(blocks))
+		for i := range blocks {
+			ues[i] = blocks[i].ue
 		}
-		sort.Ints(ues)
+		slices.Sort(ues)
 		w.U32(uint32(len(ues)))
 		for _, ue := range ues {
-			w.U16(uint16(ue))
+			w.U16(ue)
 		}
 	}
 }

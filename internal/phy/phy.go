@@ -210,22 +210,21 @@ type cell struct {
 	// migration).
 	mimoTrain map[uint16]int
 
-	ulConfigs map[uint64]*fapi.ULConfig
-	dlConfigs map[uint64]*fapi.DLConfig
-	txData    map[uint64]*fapi.TxData
+	ulConfigs SlotRing[*fapi.ULConfig]
+	dlConfigs SlotRing[*fapi.DLConfig]
+	txData    SlotRing[*fapi.TxData]
 	// ulPending accumulates prepared (combined, not yet FEC-decoded) uplink
-	// blocks per slot until the pipeline drains them to the L2.
-	ulPending map[uint64][]pendingUL
-	// ulSeen marks (slot,ue) receptions so missing fronthaul packets
-	// become DTX (CRC fail) at pipeline completion.
-	ulSeen map[uint64]map[uint16]bool
+	// blocks per slot until the pipeline drains them to the L2. A UE has
+	// been received in a slot exactly when it has an entry there; granted
+	// UEs without one become DTX (CRC fail) at pipeline completion.
+	ulPending SlotRing[[]pendingUL]
 	// grantQueue holds UL grant sections awaiting announcement in the
 	// next DL C-plane packet (the PDCCH path to the UE).
 	grantQueue []fronthaul.Section
-	// pendFree / seenFree recycle the per-slot uplink staging containers
-	// between pipeline drains.
+	// pendFree recycles the per-slot pending lists between pipeline
+	// drains: the few uplink slots in flight share them, where leaving
+	// each in its ring cell would grow 32 of them.
 	pendFree [][]pendingUL
-	seenFree []map[uint16]bool
 
 	missedConfigs int
 }
@@ -327,10 +326,9 @@ func (p *PHY) HandleFAPI(m fapi.Message) {
 		p.acceptDL(msg)
 	case *fapi.TxData:
 		if c := p.cells[msg.CellID]; c != nil {
-			if old := c.txData[msg.Slot]; old != nil && old != msg {
+			if old, had := c.txData.Put(msg.Slot, msg); had && old != msg {
 				p.releaseFAPI(old)
 			}
-			c.txData[msg.Slot] = msg
 		}
 	}
 }
@@ -360,11 +358,6 @@ func (p *PHY) configure(req *fapi.ConfigRequest) {
 		pool:      pool,
 		snr:       make(map[uint16]*harq.SNRFilter),
 		mimoTrain: make(map[uint16]int),
-		ulConfigs: make(map[uint64]*fapi.ULConfig),
-		dlConfigs: make(map[uint64]*fapi.DLConfig),
-		txData:    make(map[uint64]*fapi.TxData),
-		ulPending: make(map[uint64][]pendingUL),
-		ulSeen:    make(map[uint64]map[uint16]bool),
 	}
 	if _, existed := p.cells[req.CellID]; !existed {
 		i := sort.Search(len(p.cellOrder), func(i int) bool { return p.cellOrder[i] >= req.CellID })
@@ -381,10 +374,9 @@ func (p *PHY) acceptUL(msg *fapi.ULConfig) {
 	if c == nil {
 		return
 	}
-	if old := c.ulConfigs[msg.Slot]; old != nil && old != msg {
+	if old, had := c.ulConfigs.Put(msg.Slot, msg); had && old != msg {
 		p.releaseFAPI(old)
 	}
-	c.ulConfigs[msg.Slot] = msg
 	// Queue grant announcements for the UEs (PDCCH equivalent) so the
 	// next DL C-plane packet carries them over the air.
 	for _, pdu := range msg.PDUs {
@@ -405,10 +397,9 @@ func (p *PHY) acceptUL(msg *fapi.ULConfig) {
 
 func (p *PHY) acceptDL(msg *fapi.DLConfig) {
 	if c := p.cells[msg.CellID]; c != nil {
-		if old := c.dlConfigs[msg.Slot]; old != nil && old != msg {
+		if old, had := c.dlConfigs.Put(msg.Slot, msg); had && old != msg {
 			p.releaseFAPI(old)
 		}
-		c.dlConfigs[msg.Slot] = msg
 	}
 }
 
@@ -442,8 +433,8 @@ func (p *PHY) processSlot(c *cell, slot uint64) {
 	}
 	p.fapiOut(fapi.GetSlotIndication(c.id, slot))
 
-	ul := c.ulConfigs[slot]
-	dl := c.dlConfigs[slot]
+	ul, _ := c.ulConfigs.Get(slot)
+	dl, _ := c.dlConfigs.Get(slot)
 	if ul == nil && dl == nil {
 		c.missedConfigs++
 		p.Stats.MissedConfigs++
@@ -501,35 +492,33 @@ func (p *PHY) processSlot(c *cell, slot uint64) {
 	// last alias into a TX_DATA payload died when transmitDL serialized the
 	// slot's packets, 20 slots ago). Pending blocks that never drained
 	// (crash races) give their pooled buffers back before the slice is
-	// recycled.
+	// recycled. State this misses — slot 0, or a slot the cell never
+	// processed — goes when its ring cell is reused (the Put evictions).
 	if slot > 20 {
 		old := slot - 20
-		if m := c.ulConfigs[old]; m != nil {
+		if m, ok := c.ulConfigs.Delete(old); ok {
 			p.releaseFAPI(m)
-			delete(c.ulConfigs, old)
 		}
-		if m := c.dlConfigs[old]; m != nil {
+		if m, ok := c.dlConfigs.Delete(old); ok {
 			p.releaseFAPI(m)
-			delete(c.dlConfigs, old)
 		}
-		if m := c.txData[old]; m != nil {
+		if m, ok := c.txData.Delete(old); ok {
 			p.releaseFAPI(m)
-			delete(c.txData, old)
 		}
-		if pend := c.ulPending[old]; pend != nil {
-			for i := range pend {
-				pend[i].pb.Release()
-				pend[i] = pendingUL{}
-			}
-			c.pendFree = append(c.pendFree, pend[:0])
-			delete(c.ulPending, old)
-		}
-		if seen := c.ulSeen[old]; seen != nil {
-			clear(seen)
-			c.seenFree = append(c.seenFree, seen)
-			delete(c.ulSeen, old)
+		if pend, ok := c.ulPending.Delete(old); ok {
+			c.recyclePending(pend)
 		}
 	}
+}
+
+// recyclePending returns a slot's pending list to the free list, giving
+// back the pooled buffers of blocks that never drained.
+func (c *cell) recyclePending(pend []pendingUL) {
+	for i := range pend {
+		pend[i].pb.Release()
+		pend[i] = pendingUL{}
+	}
+	c.pendFree = append(c.pendFree, pend[:0])
 }
 
 // sendHeartbeat emits the slot's DL C-plane packet. Healthy PHYs emit this
@@ -590,7 +579,7 @@ func (p *PHY) transmitDL(c *cell, slot uint64, dl *fapi.DLConfig) {
 	if c.codec.Mantissa < 2 || c.codec.Mantissa > 16 {
 		return
 	}
-	tx := c.txData[slot]
+	tx, _ := c.txData.Get(slot)
 	// Payloads key on (UE, HARQ process): one slot can carry both a
 	// retransmission and new data for the same UE. The map is recycled
 	// scratch — cleared before transmitDL returns.
@@ -737,18 +726,12 @@ func (p *PHY) receiveUL(c *cell, pkt *fronthaul.Packet) {
 	if pdu == nil {
 		return
 	}
-	if c.ulSeen[slot] == nil {
-		if n := len(c.seenFree); n > 0 {
-			c.ulSeen[slot] = c.seenFree[n-1]
-			c.seenFree = c.seenFree[:n-1]
-		} else {
-			c.ulSeen[slot] = make(map[uint16]bool)
+	lst, live := c.ulPending.Get(slot)
+	for i := range lst {
+		if lst[i].ue == ue {
+			return // duplicate
 		}
 	}
-	if c.ulSeen[slot][ue] {
-		return // duplicate
-	}
-	c.ulSeen[slot][ue] = true
 
 	pend := pendingUL{ue: ue, harq: pdu.HARQID, newData: pdu.NewData}
 	iq, err := pkt.AppendIQ(p.iqBuf[:0])
@@ -775,23 +758,24 @@ func (p *PHY) receiveUL(c *cell, pkt *fronthaul.Packet) {
 	}
 	pend.snrAvg = filter.Observe(snrDB)
 
-	lst, ok := c.ulPending[slot]
-	if !ok {
+	if !live {
 		if n := len(c.pendFree); n > 0 {
 			lst = c.pendFree[n-1]
 			c.pendFree = c.pendFree[:n-1]
 		}
 	}
-	c.ulPending[slot] = append(lst, pend)
+	if old, had := c.ulPending.Put(slot, append(lst, pend)); had && !live {
+		c.recyclePending(old)
+	}
 }
 
-// matchULSlot resolves a wrapped SlotID against pending UL configs.
+// matchULSlot resolves a wrapped SlotID against pending UL configs: the
+// ring cell it names holds the only candidate, since RingSlots divides
+// fronthaul.SlotWrap.
 func (c *cell) matchULSlot(sid fronthaul.SlotID) (uint64, *fapi.ULConfig) {
 	idx := sid.Index()
-	for slot, cfg := range c.ulConfigs {
-		if slot%fronthaul.SlotWrap == idx {
-			return slot, cfg
-		}
+	if slot, cfg, ok := c.ulConfigs.Lookup(idx); ok && slot%fronthaul.SlotWrap == idx {
+		return slot, cfg
 	}
 	return 0, nil
 }
@@ -810,12 +794,11 @@ func (p *PHY) drainUL(cellID uint16, slot uint64) {
 	if c == nil {
 		return
 	}
-	ulCfg := c.ulConfigs[slot]
+	ulCfg, _ := c.ulConfigs.Get(slot)
 	if ulCfg == nil {
 		return
 	}
-	pending := c.ulPending[slot]
-	seen := c.ulSeen[slot]
+	pending, _ := c.ulPending.Get(slot)
 
 	// Ordered merge: sort by (UE, HARQ) so downstream effects (HARQ acks,
 	// CRC list order, stats) are independent of fronthaul arrival order —
@@ -902,7 +885,8 @@ func (p *PHY) drainUL(cellID uint16, slot uint64) {
 		}
 	}
 	for _, pdu := range ulCfg.PDUs {
-		if seen[pdu.UEID] {
+		i := sort.Search(len(pending), func(i int) bool { return pending[i].ue >= pdu.UEID })
+		if i < len(pending) && pending[i].ue == pdu.UEID {
 			continue
 		}
 		// No fronthaul reception for this grant: report DTX as decode
@@ -935,18 +919,12 @@ func (p *PHY) drainUL(cellID uint16, slot uint64) {
 		jobs[i] = fec.DecodeJob{}
 	}
 	p.ulJobs, p.ulJobOf = jobs[:0], jobOf[:0]
-	if pending != nil {
+	if _, ok := c.ulPending.Delete(slot); ok {
 		for i := range pending {
 			pending[i] = pendingUL{}
 		}
 		c.pendFree = append(c.pendFree, pending[:0])
 	}
-	delete(c.ulPending, slot)
-	if seen != nil {
-		clear(seen)
-		c.seenFree = append(c.seenFree, seen)
-	}
-	delete(c.ulSeen, slot)
 }
 
 // applyMIMOError injects the residual equalization error of a partially

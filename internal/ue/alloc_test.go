@@ -1,6 +1,7 @@
 package ue
 
 import (
+	"fmt"
 	"testing"
 
 	"slingshot/internal/dsp"
@@ -132,6 +133,65 @@ func TestPullUplinkOverwritesStaleLease(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("sample %d: pooled %v, unpooled %v", i, got[i], want[i])
+		}
+	}
+}
+
+// controlStep returns a step that delivers, one slot at a time, a DL
+// C-plane heartbeat of n sections — an uplink grant and a downlink
+// assignment two slots ahead for each of n/2 UEs, this UE's first — to a
+// connected UE that never pulls its grants, so the slot GC retires them.
+func controlStep(n int) (step func()) {
+	e := sim.NewEngine()
+	u := newUE(e, 30)
+	u.Attach()
+	secs := make([]fronthaul.Section, n)
+	for i := range secs {
+		if i%2 == 0 {
+			secs[i] = ulGrant(0, 100)
+		} else {
+			secs[i] = dlAssign(0)
+		}
+		secs[i].UEID = uint16(i/2 + 1)
+	}
+	slot := uint64(0)
+	return func() {
+		for i := range secs {
+			secs[i].GrantSlot = slot + 2
+		}
+		u.DeliverControl(slot, secs)
+		slot++
+	}
+}
+
+// BenchmarkUEDeliverControl is the per-heartbeat host cost of a UE's
+// C-plane reception: section filter, slot rings, and their GC sweep.
+func BenchmarkUEDeliverControl(b *testing.B) {
+	for _, n := range []int{2, 96} {
+		b.Run(fmt.Sprintf("sections=%d", n), func(b *testing.B) {
+			step := controlStep(n)
+			for range 2 * phy.RingSlots {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				step()
+			}
+		})
+	}
+}
+
+// TestDeliverControlSteadyStateAllocs pins BenchmarkUEDeliverControl's
+// steps at zero allocations once the slot rings are warm.
+func TestDeliverControlSteadyStateAllocs(t *testing.T) {
+	for _, n := range []int{2, 96} {
+		step := controlStep(n)
+		for range 2 * phy.RingSlots {
+			step()
+		}
+		if avg := testing.AllocsPerRun(100, step); avg != 0 {
+			t.Fatalf("%d sections: steady-state DeliverControl allocates %.2f times, want 0", n, avg)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // SnapshotTo writes the UE's full state: RRC machine, radio channel, RNG
 // point, RLC bearers, both HARQ directions, and the grant/assignment
-// lookahead maps in sorted-slot order. Parked HARQ TX buffers fold in as
+// lookahead rings in ascending-slot order. Parked HARQ TX buffers fold in as
 // digests so pool-leased memory is never retained.
 func (u *UE) SnapshotTo(w *wire.W) {
 	s := &u.Stats
@@ -48,26 +48,17 @@ func (u *UE) SnapshotTo(w *wire.W) {
 		w.U64(wire.Hash64(tb))
 	}
 
-	grantSlots := make([]uint64, 0, len(u.grants))
-	for slot := range u.grants {
-		grantSlots = append(grantSlots, slot)
-	}
-	sort.Slice(grantSlots, func(i, j int) bool { return grantSlots[i] < grantSlots[j] })
-	w.U32(uint32(len(grantSlots)))
-	for _, slot := range grantSlots {
+	w.U32(uint32(u.grants.Len()))
+	for _, slot := range u.grants.Slots() {
 		w.U64(slot)
-		snapSection(w, u.grants[slot])
+		sec, _ := u.grants.Get(slot)
+		snapSection(w, sec)
 	}
 
-	assigSlots := make([]uint64, 0, len(u.dlAssig))
-	for slot := range u.dlAssig {
-		assigSlots = append(assigSlots, slot)
-	}
-	sort.Slice(assigSlots, func(i, j int) bool { return assigSlots[i] < assigSlots[j] })
-	w.U32(uint32(len(assigSlots)))
-	for _, slot := range assigSlots {
+	w.U32(uint32(u.dlAssig.Len()))
+	for _, slot := range u.dlAssig.Slots() {
 		w.U64(slot)
-		secs := u.dlAssig[slot]
+		secs, _ := u.dlAssig.Get(slot)
 		w.U32(uint32(len(secs)))
 		for _, sec := range secs {
 			snapSection(w, sec)

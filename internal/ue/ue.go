@@ -110,8 +110,8 @@ type UE struct {
 	harqDL *harq.Pool
 	harqTx map[uint8][]byte
 
-	grants  map[uint64]fronthaul.Section
-	dlAssig map[uint64][]fronthaul.Section
+	grants  phy.SlotRing[fronthaul.Section]
+	dlAssig phy.SlotRing[[]fronthaul.Section]
 	uciQ    []fapi.UCI
 	cqi     harq.SNRFilter
 	// dlIQ is DeliverDownlink's receive scratch: a packet's IQ is
@@ -154,8 +154,8 @@ func (u *UE) resetBearers() {
 		mem.PutBytes(tb)
 	}
 	u.harqTx = make(map[uint8][]byte)
-	u.grants = make(map[uint64]fronthaul.Section)
-	u.dlAssig = make(map[uint64][]fronthaul.Section)
+	u.grants = phy.SlotRing[fronthaul.Section]{}
+	u.dlAssig = phy.SlotRing[[]fronthaul.Section]{}
 	u.uciQ = u.uciQ[:0]
 }
 
@@ -286,12 +286,16 @@ func (u *UE) DeliverControl(absSlot uint64, secs []fronthaul.Section) {
 			continue
 		}
 		if s.Dir == fronthaul.Uplink {
-			u.grants[s.GrantSlot] = s
+			u.grants.Put(s.GrantSlot, s)
 		} else {
 			// A slot may carry several DL PDUs for one UE (e.g. a HARQ
 			// retransmission plus new data); keep them all and match
 			// U-plane packets by allocation start PRB.
-			u.dlAssig[s.GrantSlot] = append(u.dlAssig[s.GrantSlot], s)
+			assig, ok := u.dlAssig.Get(s.GrantSlot)
+			if !ok {
+				assig = u.dlAssig.Spare(s.GrantSlot)[:0]
+			}
+			u.dlAssig.Put(s.GrantSlot, append(assig, s))
 		}
 	}
 	// Periodic CQI report.
@@ -299,15 +303,9 @@ func (u *UE) DeliverControl(absSlot uint64, secs []fronthaul.Section) {
 		u.uciQ = append(u.uciQ, fapi.UCI{UEID: u.Cfg.ID, CQIdB: float32(u.cqi.Value())})
 	}
 	// GC stale grants.
-	for s := range u.grants {
-		if s+20 < absSlot {
-			delete(u.grants, s)
-		}
-	}
-	for s := range u.dlAssig {
-		if s+20 < absSlot {
-			delete(u.dlAssig, s)
-		}
+	if absSlot > 20 {
+		u.grants.DeleteBefore(absSlot - 20)
+		u.dlAssig.DeleteBefore(absSlot - 20)
 	}
 }
 
@@ -324,7 +322,8 @@ func (u *UE) DeliverDownlink(absSlot uint64, pkt *fronthaul.Packet) {
 	}
 	var sec fronthaul.Section
 	found := false
-	for _, s := range u.dlAssig[absSlot] {
+	assig, _ := u.dlAssig.Get(absSlot)
+	for _, s := range assig {
 		if s.StartPRB == pkt.StartPRB {
 			sec = s
 			found = true
@@ -381,11 +380,10 @@ func (u *UE) PullUplink(absSlot uint64) (iq []complex128, aux []byte, ok bool) {
 	if u.state != StateConnected || u.codec == nil {
 		return nil, nil, false
 	}
-	sec, exists := u.grants[absSlot]
+	sec, exists := u.grants.Delete(absSlot)
 	if !exists {
 		return nil, nil, false
 	}
-	delete(u.grants, absSlot)
 	u.advanceChannel(absSlot)
 
 	var tb []byte
