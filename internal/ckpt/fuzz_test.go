@@ -17,8 +17,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	valid := Capture(tinyFleet(f, 11, 12)).Encode()
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add(valid[:len(valid)/2])         // truncation
-	f.Add(valid[:8])                    // header only
+	f.Add(valid[:len(valid)/2])              // truncation
+	f.Add(valid[:8])                         // header only
 	f.Add(append([]byte(nil), valid[4:]...)) // sheared magic
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)/3] ^= 0x10

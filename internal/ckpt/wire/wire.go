@@ -285,7 +285,9 @@ func (r *R) Section() (string, *R) {
 
 // Diff walks two section streams and describes the first difference as a
 // /-separated path of section names — the time-travel debugger's "which
-// layer diverged" answer. Empty string means the streams are identical.
+// layer diverged" answer. A path ends in /<bytes> where the difference lies
+// in bytes that are not section-framed, such as a leaf section's body.
+// Empty string means the streams are identical.
 func Diff(a, b []byte) string {
 	return diffPath(NewR(a), NewR(b), "")
 }
@@ -295,11 +297,13 @@ func diffPath(ra, rb *R, prefix string) string {
 		if !ra.More() || !rb.More() {
 			return prefix + "/<section-count>"
 		}
+		offA, offB := ra.off, rb.off
 		na, ba := ra.Section()
 		nb, bb := rb.Section()
 		if ra.Err() != nil || rb.Err() != nil {
-			// Not section-framed at this level: fall back to a byte compare.
-			if string(ra.b[ra.off:]) != string(rb.b[rb.off:]) {
+			// Not section-framed at this level: byte-compare from where the
+			// section began (both may fail at one offset past a difference).
+			if string(ra.b[offA:]) != string(rb.b[offB:]) {
 				return prefix + "/<bytes>"
 			}
 			return ""
@@ -308,11 +312,9 @@ func diffPath(ra, rb *R, prefix string) string {
 			return fmt.Sprintf("%s/<%s|%s>", prefix, na, nb)
 		}
 		if string(ba.b) != string(bb.b) {
-			// Recurse: the bodies may themselves be section streams.
-			if p := diffPath(ba, bb, prefix+"/"+na); p != "" {
-				return p
-			}
-			return prefix + "/" + na
+			// Recurse: the bodies may themselves be section streams; a body
+			// that is not ends its path in /<bytes>.
+			return diffPath(ba, bb, prefix+"/"+na)
 		}
 	}
 	return ""

@@ -6,7 +6,7 @@ import (
 	"slingshot/internal/par"
 )
 
-// DecodeJob is one transport block's decode work for DecodeBatch.
+// DecodeJob is one transport block's decode work for DecodeBatchInto.
 type DecodeJob struct {
 	Code     *Code
 	LLR      []float64
@@ -15,30 +15,6 @@ type DecodeJob struct {
 	// info bits and the result's Info aliases it — no per-job allocation.
 	// Leave nil to have the batch allocate a fresh copy.
 	Info []byte
-	// LLRI8, when non-nil, supplies the block's soft values through the
-	// int8 quantized-LLR lane instead of LLR (which is then ignored): the
-	// batch dequantizes into pooled scratch and decodes the floats, so the
-	// result is bit-identical to decoding the dequantized values and the
-	// lane preserves grouping/worker/pooling invariance (llri8.go).
-	LLRI8 []int8
-	// LLRI8Step is the lane's dequantization step; 0 means LLRI8Step.
-	LLRI8Step float64
-}
-
-// DecodeBatch fans a slot's transport-block decodes across the bounded
-// worker pool (internal/par) and returns results in input order: result i
-// always belongs to jobs[i], regardless of which worker ran it, so callers
-// observe a schedule-independent merge. Jobs may freely share one cached
-// *Code — each decode borrows pooled per-call scratch — and the returned
-// Info slices are copies that stay valid indefinitely.
-//
-// The call blocks until every job has finished; in the simulator this is
-// what keeps virtual time frozen while workers run. With SLINGSHOT_WORKERS=1
-// the batch degrades to an inline sequential loop in job order.
-func DecodeBatch(jobs []DecodeJob) []DecodeResult {
-	out := make([]DecodeResult, len(jobs))
-	DecodeBatchInto(out, jobs)
-	return out
 }
 
 // batchCtx carries one DecodeBatchInto call's slices plus long-lived
@@ -79,16 +55,6 @@ func (b *batchCtx) runUnit(u int) {
 	c := b.jobs[start].Code
 	jobs := b.jobs[start : start+n]
 	results := b.results[start : start+n]
-	// i8-lane jobs dequantize into borrowed scalar scratch before the
-	// pre-pass and the kernels load lanes; both only ever see floats.
-	var tmp [SoALanes]*DecodeScratch
-	for l := range jobs {
-		if jobs[l].LLRI8 != nil {
-			s := c.getScratch()
-			tmp[l] = s
-			jobs[l].LLR = s.dequantLLRI8(jobs[l].LLRI8, jobs[l].LLRI8Step)
-		}
-	}
 	c.checkLanes(jobs)
 	ss := c.getSoAScratch()
 	bad := c.syndromeSoA(jobs, ss.hardw)
@@ -96,43 +62,29 @@ func (b *batchCtx) runUnit(u int) {
 		c.decodeSoA(results, jobs, ss)
 	} else {
 		done := c.soaFinish(results, jobs, ss.hardw, 0, bad, 1, false)
-		// An i8 lane decodes in the scratch holding its floats; float lanes
-		// share one more, free again once finish has copied the info out.
-		var spare *DecodeScratch
+		// The failed lanes share one scalar scratch, free again once
+		// finish has copied each lane's info out.
+		var s *DecodeScratch
 		for l := range jobs {
 			if done&(0xff<<(8*l)) != 0 {
 				continue
 			}
-			s := tmp[l]
 			if s == nil {
-				if spare == nil {
-					spare = c.getScratch()
-				}
-				s = spare
+				s = c.getScratch()
 			}
 			results[l] = jobs[l].finish(c.decodeIter(jobs[l].LLR, jobs[l].MaxIters, s))
 		}
-		if spare != nil {
-			c.putScratch(spare)
-		}
-	}
-	c.putSoAScratch(ss)
-	for l, s := range &tmp {
 		if s != nil {
-			jobs[l].LLR = nil
 			c.putScratch(s)
 		}
 	}
+	c.putSoAScratch(ss)
 }
 
 func (b *batchCtx) decode(i int) {
 	j := &b.jobs[i]
 	s := j.Code.getScratch()
-	llr := j.LLR
-	if j.LLRI8 != nil {
-		llr = s.dequantLLRI8(j.LLRI8, j.LLRI8Step)
-	}
-	b.results[i] = j.finish(j.Code.DecodeWithScratch(llr, j.MaxIters, s))
+	b.results[i] = j.finish(j.Code.DecodeWithScratch(j.LLR, j.MaxIters, s))
 	j.Code.putScratch(s)
 }
 
@@ -150,10 +102,12 @@ func (j *DecodeJob) finish(res DecodeResult) DecodeResult {
 	return res
 }
 
-// DecodeBatchInto is DecodeBatch writing into a caller-provided results
-// slice (len must equal len(jobs)). Paired with per-job Info buffers it
-// decodes a slot's blocks with zero allocations at steady state: scratch
-// is pooled, results land in results[i], and info bits land in jobs[i].Info.
+// DecodeBatchInto fans a slot's decodes across the bounded worker pool
+// (internal/par) and blocks until all finish, which keeps virtual time
+// frozen while workers run. results[i] (len must equal len(jobs)) always
+// belongs to jobs[i], whichever worker ran it. Jobs may share one cached
+// *Code; scratch is pooled, and with per-job Info buffers a slot decodes
+// with zero allocations at steady state (else Info is a fresh copy).
 //
 // Runs of SoALanes consecutive jobs sharing one (Code, MaxIters) form a
 // lane group: the syndrome-first pre-pass checks the group's four blocks

@@ -124,7 +124,7 @@ func BenchmarkFECDecodeSingle(b *testing.B) {
 // block than the batch does).
 func BenchmarkFECDecodeParallel(b *testing.B) {
 	c, refLLR := benchCodeAndLLR()
-	refIters := c.Decode(refLLR, 8).Iterations
+	refIters := decode(c, refLLR, 8).Iterations
 	const blocks = 16
 	jobs := make([]DecodeJob, blocks)
 	for i := range jobs {
@@ -134,7 +134,7 @@ func BenchmarkFECDecodeParallel(b *testing.B) {
 			// Only accept blocks that converge as fast as the sequential
 			// benchmark's block, so ns/block here is comparable to
 			// BenchmarkFECDecode's ns/op.
-			if res := c.Decode(llr, 8); res.OK && res.Iterations <= refIters {
+			if res := decode(c, llr, 8); res.OK && res.Iterations <= refIters {
 				jobs[i] = DecodeJob{Code: c, LLR: llr, MaxIters: 8,
 					Info: make([]byte, 0, c.K)}
 				break

@@ -97,6 +97,19 @@ func bitsToLLR(bits []byte, noiseStd float64, rng *sim.RNG) []float64 {
 	return llr
 }
 
+// decode decodes one block into fresh scratch, so the result's Info stays
+// valid for as long as the test holds it.
+func decode(c *Code, llr []float64, maxIters int) DecodeResult {
+	return c.DecodeWithScratch(llr, maxIters, c.NewScratch())
+}
+
+// decodeBatch is DecodeBatchInto into a fresh results slice.
+func decodeBatch(jobs []DecodeJob) []DecodeResult {
+	out := make([]DecodeResult, len(jobs))
+	DecodeBatchInto(out, jobs)
+	return out
+}
+
 func TestEncodeSystematic(t *testing.T) {
 	c := NewCode(64, 128, 1)
 	rng := sim.NewRNG(5)
@@ -132,7 +145,7 @@ func TestDecodeNoiseless(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		info := randomBits(rng, 128)
 		llr := bitsToLLR(c.Encode(info), 0, rng)
-		res := c.Decode(llr, 8)
+		res := decode(c, llr, 8)
 		if !res.OK {
 			t.Fatalf("noiseless decode failed at trial %d", trial)
 		}
@@ -153,7 +166,7 @@ func TestDecodeCorrectsModerateNoise(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		info := randomBits(rng, 128)
 		llr := bitsToLLR(c.Encode(info), 0.7, rng)
-		res := c.Decode(llr, 12)
+		res := decode(c, llr, 12)
 		if res.OK && bytes.Equal(res.Info, info) {
 			ok++
 		}
@@ -171,7 +184,7 @@ func TestDecodeFailsAtHighNoise(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		info := randomBits(rng, 128)
 		llr := bitsToLLR(c.Encode(info), 2.5, rng)
-		res := c.Decode(llr, 8)
+		res := decode(c, llr, 8)
 		if res.OK && bytes.Equal(res.Info, info) {
 			ok++
 		}
@@ -194,7 +207,7 @@ func TestMoreIterationsHelp(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			info := randomBits(rng, 128)
 			llr := bitsToLLR(c.Encode(info), 0.85, rng)
-			res := c.Decode(llr, iters)
+			res := decode(c, llr, iters)
 			if res.OK && bytes.Equal(res.Info, info) {
 				ok++
 			}
@@ -224,14 +237,14 @@ func TestSoftCombiningHelps(t *testing.T) {
 		coded := c.Encode(info)
 		llr1 := bitsToLLR(coded, 1.1, rng)
 		llr2 := bitsToLLR(coded, 1.1, rng)
-		if res := c.Decode(llr1, 8); res.OK && bytes.Equal(res.Info, info) {
+		if res := decode(c, llr1, 8); res.OK && bytes.Equal(res.Info, info) {
 			singleOK++
 		}
 		sum := make([]float64, len(llr1))
 		for i := range sum {
 			sum[i] = llr1[i] + llr2[i]
 		}
-		if res := c.Decode(sum, 8); res.OK && bytes.Equal(res.Info, info) {
+		if res := decode(c, sum, 8); res.OK && bytes.Equal(res.Info, info) {
 			combinedOK++
 		}
 	}

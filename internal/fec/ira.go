@@ -64,9 +64,9 @@ type Code struct {
 
 // DecodeScratch is the per-call working state of the min-sum decoder:
 // check-to-variable messages (flat, CSR edge-indexed), posteriors and hard
-// decisions. One scratch serves one in-flight Decode; obtain it from
-// Code.NewScratch (or let Decode/DecodeBatch pool them) and never share it
-// across goroutines.
+// decisions. One scratch serves one in-flight decode; obtain it from
+// Code.NewScratch or Code.GetScratch (DecodeBatchInto pools its own) and
+// never share it across goroutines.
 type DecodeScratch struct {
 	c2v    []float64 // per-edge messages, indexed like Code.edgeVar
 	mbuf   []uint64  // per-edge v2c message bits, staged between passes
@@ -74,8 +74,7 @@ type DecodeScratch struct {
 	rowSum []uint64  // 3 summary words per row for the first-iteration path
 	rowAcc []byte    // per-row parity accumulator
 	hard   []byte
-	info   []byte    // result staging for DecodeWithScratch
-	llrTmp []float64 // dequantized-LLR staging for DecodeI8WithScratch
+	info   []byte // result staging for DecodeWithScratch
 }
 
 // NewScratch allocates decoder scratch sized for the code.
@@ -268,25 +267,6 @@ type DecodeResult struct {
 	Iterations int    // iterations actually used
 }
 
-// Decode runs normalized min-sum belief propagation over channel LLRs
-// (positive = bit 0 more likely, the standard convention) for at most
-// maxIters iterations, stopping early once all parity checks pass.
-//
-// More iterations strictly improve (or preserve) decode success at a given
-// SNR; this is the lever the Fig 11 live-upgrade experiment pulls.
-//
-// Decode is a thin wrapper over the scratch-based path: it borrows pooled
-// scratch and copies the info bits out, so it is safe to call from many
-// goroutines on one shared Code. Hot paths that decode in batches should
-// use DecodeWithScratch/DecodeBatch to skip the result copy.
-func (c *Code) Decode(llr []float64, maxIters int) DecodeResult {
-	s := c.getScratch()
-	res := c.DecodeWithScratch(llr, maxIters, s)
-	res.Info = append([]byte(nil), res.Info...)
-	c.putScratch(s)
-	return res
-}
-
 // Min-sum constants shared by the flat kernels (ira.go, soa.go).
 const (
 	msAlpha  = 0.8                        // normalization factor for min-sum
@@ -306,9 +286,16 @@ func post1(rs *[3]uint64, ab, ms uint64) float64 {
 	return math.Float64frombits(pk ^ ms)
 }
 
-// DecodeWithScratch is Decode with caller-owned scratch. The returned
-// Info aliases s.info: it is valid until the next decode with (or pooled
-// reuse of) the same scratch — copy it out before releasing s.
+// DecodeWithScratch runs normalized min-sum belief propagation over channel
+// LLRs (positive = bit 0 more likely, the standard convention) for at most
+// maxIters iterations, stopping early once all parity checks pass. More
+// iterations strictly improve (or preserve) decode success at a given SNR;
+// this is the lever the Fig 11 live-upgrade experiment pulls.
+//
+// The scratch is caller-owned (NewScratch, or GetScratch/PutScratch), so
+// many goroutines may decode on one shared Code. The returned Info aliases
+// s.info: it is valid until the next decode with (or pooled reuse of) the
+// same scratch — copy it out before releasing s.
 //
 // A block whose channel hard decisions already satisfy every check is
 // finished by the syndrome-first pre-pass (syndrome.go) with iteration 1's

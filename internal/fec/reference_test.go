@@ -43,8 +43,8 @@ func (c *Code) NewReferenceScratch() *referenceScratch {
 }
 
 // DecodeReference runs the retained reference min-sum decoder. Semantics
-// (inputs, outputs, iteration accounting, early stop) match Decode; the
-// returned Info is a fresh copy.
+// (inputs, outputs, iteration accounting, early stop) match
+// DecodeWithScratch; the returned Info is a fresh copy.
 func (c *Code) DecodeReference(llr []float64, maxIters int) DecodeResult {
 	s := c.NewReferenceScratch()
 	res := c.decodeReferenceWithScratch(llr, maxIters, s)

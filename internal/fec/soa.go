@@ -110,7 +110,7 @@ func soaPost1(rs *[rowSumStride]uint64, l int, ab, ms uint64) float64 {
 // the graph-index streams. A lane that converges is recorded and frozen at
 // that iteration (its info bits are extracted immediately); the remaining
 // lanes keep iterating until all are resolved or MaxIters is reached.
-// Info handling matches DecodeBatch: results[l].Info lands in jobs[l].Info
+// Info handling matches DecodeBatchInto: results[l].Info lands in jobs[l].Info
 // when its capacity allows, else in a fresh copy. The caller owns s and
 // has checked every lane's LLR length (checkLanes).
 func (c *Code) decodeSoA(results []DecodeResult, jobs []DecodeJob, s *soaScratch) {

@@ -14,7 +14,7 @@ import (
 // iterative kernel it stands in front of: a block the pre-pass finishes
 // must get exactly iteration 1's result, and a block it refuses must get
 // exactly what the iterative kernel alone returns — through the scalar
-// entry point, the i8 lane and DecodeBatch's lane groups alike.
+// entry point and DecodeBatchInto's lane groups alike.
 
 func hasNaN(llr []float64) bool {
 	for _, x := range llr {
@@ -155,49 +155,11 @@ func TestSyndromeFirstMatchesIteration1(t *testing.T) {
 	}
 }
 
-// TestSyndromeFirstI8 checks the i8 entry point over quantized clean,
-// flipped and 16 dB blocks against the kernel on the dequantized values.
-func TestSyndromeFirstI8(t *testing.T) {
-	c := Get(64, 128, 3)
-	rng := sim.NewRNG(78)
-	passed := 0
-	for trial := 0; trial < 300; trial++ {
-		coded := c.Encode(randomBits(rng, c.K))
-		var llr []float64
-		switch trial % 3 {
-		case 0:
-			llr = awgnLLR(coded, 40, rng)
-		case 1:
-			llr = awgnLLR(coded, 40, rng)
-			i := rng.Intn(c.N)
-			llr[i] = -llr[i]
-		default:
-			llr = qam16LLR(coded, rng)
-		}
-		q := AppendQuantizeLLRI8(nil, llr, LLRI8Step)
-		deq := make([]float64, c.N)
-		for i, v := range q {
-			deq[i] = float64(v) * LLRI8Step
-		}
-		if checkPrepass(t, c, deq, 8) {
-			passed++
-		}
-		got := c.DecodeI8WithScratch(q, LLRI8Step, 8, c.NewScratch())
-		if want := c.decodeIter(deq, 8, c.NewScratch()); !sameResult(got, want) {
-			t.Fatalf("trial %d: i8 (ok=%v it=%d) differs from the kernel (ok=%v it=%d)",
-				trial, got.OK, got.Iterations, want.OK, want.Iterations)
-		}
-	}
-	if passed == 0 {
-		t.Fatal("no quantized block passed the pre-pass")
-	}
-}
-
-// TestSyndromeFirstBatch drives DecodeBatch with ragged batches whose lane
-// groups mix passing and failing lanes, NaN lanes, and i8 and float lanes,
-// and pins every job to the scalar entry point on the same values (and
-// finite ones to the reference). It also requires that the batches really
-// contained all-pass, mixed and all-fail lane groups.
+// TestSyndromeFirstBatch drives DecodeBatchInto with ragged batches whose
+// lane groups mix passing and failing lanes, NaN lanes, and lanes snapped
+// to a coarse grid, and pins every job to the scalar entry point on the
+// same values (and finite ones to the reference). It also requires that the
+// batches really contained all-pass, mixed and all-fail lane groups.
 func TestSyndromeFirstBatch(t *testing.T) {
 	code := Get(64, 128, 3)
 	rng := sim.NewRNG(79)
@@ -205,7 +167,6 @@ func TestSyndromeFirstBatch(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		njobs := 1 + rng.Intn(11)
 		jobs := make([]DecodeJob, njobs)
-		deqs := make([][]float64, njobs)
 		pass := make([]bool, njobs)
 		iters := 1 + rng.Intn(8)
 		for j := range jobs {
@@ -230,28 +191,25 @@ func TestSyndromeFirstBatch(t *testing.T) {
 			if rng.Bool(0.1) {
 				it = 1 + rng.Intn(8) // breaks a lane group now and then
 			}
-			jobs[j] = DecodeJob{Code: code, LLR: llr, MaxIters: it}
-			deqs[j] = llr
 			if isFinite(llr) && rng.Bool(0.3) {
-				q := AppendQuantizeLLRI8(nil, llr, LLRI8Step)
-				deq := make([]float64, code.N)
-				for i, v := range q {
-					deq[i] = float64(v) * LLRI8Step
+				// A 0.25 grid clamped at ±31.75, where equal edge
+				// magnitudes (min1 == min2) are common.
+				for i, v := range llr {
+					llr[i] = math.Max(-127, math.Min(127, math.Round(4*v))) / 4
 				}
-				jobs[j] = DecodeJob{Code: code, LLRI8: q, MaxIters: it}
-				deqs[j] = deq
 			}
-			pass[j] = code.syndromeOK(deqs[j], make([]byte, code.N))
+			jobs[j] = DecodeJob{Code: code, LLR: llr, MaxIters: it}
+			pass[j] = code.syndromeOK(jobs[j].LLR, make([]byte, code.N))
 		}
-		got := DecodeBatch(jobs)
+		got := decodeBatch(jobs)
 		for j := range jobs {
-			want := code.DecodeWithScratch(deqs[j], jobs[j].MaxIters, code.NewScratch())
+			want := code.DecodeWithScratch(jobs[j].LLR, jobs[j].MaxIters, code.NewScratch())
 			if !sameResult(got[j], want) {
 				t.Fatalf("trial %d job %d: batch (ok=%v it=%d) scalar (ok=%v it=%d)",
 					trial, j, got[j].OK, got[j].Iterations, want.OK, want.Iterations)
 			}
-			if isFinite(deqs[j]) {
-				if ref := code.DecodeReference(deqs[j], jobs[j].MaxIters); !sameResult(got[j], ref) {
+			if isFinite(jobs[j].LLR) {
+				if ref := code.DecodeReference(jobs[j].LLR, jobs[j].MaxIters); !sameResult(got[j], ref) {
 					t.Fatalf("trial %d job %d: batch differs from the reference", trial, j)
 				}
 			}
@@ -269,7 +227,7 @@ func TestSyndromeFirstBatch(t *testing.T) {
 			// verdict — NaN lanes included, whose decode may not show it.
 			lanes := make([]DecodeJob, SoALanes)
 			for l := range lanes {
-				lanes[l] = DecodeJob{Code: code, LLR: deqs[i+l]}
+				lanes[l] = DecodeJob{Code: code, LLR: jobs[i+l].LLR}
 			}
 			bad := code.syndromeSoA(lanes, make([]uint32, code.N))
 			n := 0

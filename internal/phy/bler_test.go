@@ -100,8 +100,6 @@ func TestBLERvsSNRInsideV1Bands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("40 000-block BLER sweep is slow")
 	}
-	prevLane := SetLLRLaneI8(false)
-	defer SetLLRLaneI8(prevLane)
 	for i, p := range blerTable {
 		if lo, hi := wilson999(p.v1Fails, blerBlocks); lo != p.lo || hi != p.hi {
 			t.Errorf("row %d: committed band [%d, %d] is not the Wilson interval [%d, %d] of %d/%d",

@@ -202,7 +202,6 @@ type blockBuf struct {
 	iq     []complex128
 	llr    []float64
 	mask   []uint64
-	llri8  []int8 // quantized lane staging (SLINGSHOT_LLR=i8 only)
 	info   []byte
 	crc    []byte
 }
@@ -214,11 +213,7 @@ var blockBufPool = sync.Pool{New: func() any { return new(blockBuf) }}
 // can run later (and on a worker goroutine) without touching shared state.
 // The LLRs are detached copies — they do not alias HARQ soft buffers.
 type PreparedBlock struct {
-	LLR []float64
-	// LLRI8 holds the block's soft values quantized for the int8 LLR lane;
-	// non-nil only when the lane is enabled (llrlane.go), in which case the
-	// FEC decode consumes it instead of LLR.
-	LLRI8   []int8
+	LLR     []float64
 	SNRdB   float64
 	TxCount int
 	// Valid reports the receive chain produced enough LLRs to attempt FEC
@@ -236,7 +231,6 @@ func (pb *PreparedBlock) Release() {
 		blockBufPool.Put(pb.buf)
 		pb.buf = nil
 		pb.LLR = nil
-		pb.LLRI8 = nil
 	}
 }
 
@@ -275,10 +269,6 @@ func (c *Codec) PrepareBlock(rx []complex128, slot uint64, ue uint16, m dsp.Modu
 		pb.TxCount = pool.TxCount(ue, proc)
 	}
 	pb.LLR = llr
-	if LLRLaneI8() {
-		buf.llri8 = fec.AppendQuantizeLLRI8(buf.llri8[:0], llr, fec.LLRI8Step)
-		pb.LLRI8 = buf.llri8
-	}
 	pb.Valid = true
 	return pb
 }
@@ -293,13 +283,7 @@ func (c *Codec) FECJob(pb *PreparedBlock, iters int) fec.DecodeJob {
 	if cap(pb.buf.info) < c.Code.K {
 		pb.buf.info = make([]byte, c.Code.K)
 	}
-	job := fec.DecodeJob{Code: c.Code, MaxIters: iters, Info: pb.buf.info[:0]}
-	if pb.LLRI8 != nil {
-		job.LLRI8, job.LLRI8Step = pb.LLRI8, fec.LLRI8Step
-	} else {
-		job.LLR = pb.LLR
-	}
-	return job
+	return fec.DecodeJob{Code: c.Code, LLR: pb.LLR, MaxIters: iters, Info: pb.buf.info[:0]}
 }
 
 // FinishFECJob converts a batch decode result for FECJob back into the
@@ -341,12 +325,7 @@ func (c *Codec) DecodePrepared(pb *PreparedBlock, iters int) DecodeOutcome {
 		return DecodeOutcome{TxCount: pb.TxCount, SNRdB: pb.SNRdB}
 	}
 	s := c.Code.GetScratch()
-	var res fec.DecodeResult
-	if pb.LLRI8 != nil {
-		res = c.Code.DecodeI8WithScratch(pb.LLRI8, fec.LLRI8Step, iters, s)
-	} else {
-		res = c.Code.DecodeWithScratch(pb.LLR, iters, s)
-	}
+	res := c.Code.DecodeWithScratch(pb.LLR, iters, s)
 	out := c.FinishFECJob(pb, &res)
 	c.Code.PutScratch(s)
 	return out

@@ -1,12 +1,15 @@
 package phy
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"slingshot/internal/dsp"
+	"slingshot/internal/fec"
 	"slingshot/internal/fronthaul"
 	"slingshot/internal/harq"
+	"slingshot/internal/par"
 	"slingshot/internal/sim"
 )
 
@@ -261,5 +264,57 @@ func TestCodecPrefixSensitivity(t *testing.T) {
 	}
 	if same == len(a) {
 		t.Fatal("different TBs produced identical blocks")
+	}
+}
+
+// TestLLRLaneWorkerDeterminism checks that the soft-value path the PHY
+// drain stages for a slot (PrepareBlock → FECJob → fec.DecodeBatchInto →
+// FinishFECJob) produces bit-identical outcomes at different worker counts.
+func TestLLRLaneWorkerDeterminism(t *testing.T) {
+	run := func() []DecodeOutcome {
+		c := NewCodec(0, 0, 0, 42)
+		// Waterfall SNR: mixed OK/failed blocks and varied iteration
+		// counts, so WorkUnits actually discriminates.
+		ch := dsp.NewChannel(12.5, 0, 0, sim.NewRNG(3))
+		rng := sim.NewRNG(9)
+		tb := make([]byte, 24)
+		const blocks = 16
+		pbs := make([]PreparedBlock, blocks)
+		jobs := make([]fec.DecodeJob, blocks)
+		for i := 0; i < blocks; i++ {
+			for j := range tb {
+				tb[j] = byte(rng.Uint64())
+			}
+			slot := uint64(4 + 5*i)
+			iq := c.EncodeBlock(tb, slot, uint16(i), dsp.QAM64)
+			rx := ch.Transmit(iq)
+			pbs[i] = c.PrepareBlock(rx, slot, uint16(i), dsp.QAM64, nil, 0, true)
+			if !pbs[i].Valid {
+				t.Fatalf("block %d failed prepare", i)
+			}
+			jobs[i] = c.FECJob(&pbs[i], 8)
+		}
+		results := make([]fec.DecodeResult, blocks)
+		fec.DecodeBatchInto(results, jobs)
+		outs := make([]DecodeOutcome, blocks)
+		for i := range outs {
+			outs[i] = c.FinishFECJob(&pbs[i], &results[i])
+			pbs[i].Release()
+		}
+		return outs
+	}
+
+	prev := par.SetWorkers(1)
+	defer par.SetWorkers(prev)
+	seq := run()
+	par.SetWorkers(4)
+	conc := run()
+	for i := range seq {
+		if seq[i].OK != conc[i].OK || seq[i].WorkUnits != conc[i].WorkUnits ||
+			math.Float64bits(seq[i].SNRdB) != math.Float64bits(conc[i].SNRdB) ||
+			seq[i].TxCount != conc[i].TxCount {
+			t.Fatalf("block %d: outcome differs across worker counts:\n1 worker: %+v\n4 workers: %+v",
+				i, seq[i], conc[i])
+		}
 	}
 }

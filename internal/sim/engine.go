@@ -128,31 +128,26 @@ func (e *Engine) push(ev *Event, at Time, name string) {
 	e.q.push(ev, e.now)
 }
 
-// AtPooled schedules fn at absolute time at, recycling the event struct
-// after it fires. No handle is returned: pooled events cannot be canceled,
-// which is exactly what makes recycling safe (no stale *Event can reach a
-// reused event). Semantics (ordering, FIFO tie-break) match At.
-func (e *Engine) AtPooled(at Time, name string, fn func()) {
+// AfterPooled schedules fn to run d after the current time, recycling the
+// event struct after it fires. No handle is returned: pooled events cannot
+// be canceled, which is exactly what makes recycling safe (no stale *Event
+// can reach a reused event). Semantics (ordering, FIFO tie-break) match
+// After.
+func (e *Engine) AfterPooled(d Time, name string, fn func()) {
+	if d < 0 {
+		d = 0
+	}
 	ev := e.getFree()
 	ev.Do = fn
 	ev.doArg = nil
 	ev.arg = nil
 	ev.pooled = true
-	e.push(ev, at, name)
-}
-
-// AfterPooled schedules fn to run d after the current time on a recycled
-// event. See AtPooled for the no-cancel contract.
-func (e *Engine) AfterPooled(d Time, name string, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.AtPooled(e.now+d, name, fn)
+	e.push(ev, e.now+d, name)
 }
 
 // AtArgPooled schedules fn(arg) at absolute time at on a recycled event.
 // With a long-lived fn (e.g. one per link) the schedule allocates nothing:
-// no closure, no event. See AtPooled for the no-cancel contract.
+// no closure, no event. See AfterPooled for the no-cancel contract.
 func (e *Engine) AtArgPooled(at Time, name string, fn func(any), arg any) {
 	ev := e.getFree()
 	ev.Do = nil

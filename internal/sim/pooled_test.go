@@ -8,7 +8,7 @@ func TestPooledOrderingMatchesAt(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	e.At(10, "a", func() { got = append(got, 0) })
-	e.AtPooled(10, "b", func() { got = append(got, 1) })
+	e.AfterPooled(10, "b", func() { got = append(got, 1) })
 	e.AtArgPooled(10, "c", func(a any) { got = append(got, a.(int)) }, 2)
 	e.After(10, "d", func() { got = append(got, 3) })
 	e.AfterPooled(10, "e", func() { got = append(got, 4) })
