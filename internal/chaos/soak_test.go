@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"slingshot/internal/mem"
 	"slingshot/internal/sim"
 )
 
@@ -27,34 +26,6 @@ func TestChaosSoak(t *testing.T) {
 	})
 	if !ok {
 		t.Fatalf("minimal failing seed: %d\n%s", rep.Seed, rep)
-	}
-}
-
-// TestSoakFingerprintsInvariantToPooling runs the soak lane's seeds with
-// buffer pooling on and again with the SLINGSHOT_POOL=off escape hatch:
-// every seed's fingerprinted report must come out byte-identical, proving
-// recycling changes only allocator traffic, never what the chaos schedule
-// computes — across kills, migrations, fronthaul faults and all.
-func TestSoakFingerprintsInvariantToPooling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak skipped in -short mode")
-	}
-	prev := mem.SetEnabled(true)
-	defer mem.SetEnabled(prev)
-	profile := Light()
-	for seed := uint64(1); seed <= 5; seed++ {
-		mem.SetEnabled(true)
-		on := Run(seed, profile)
-		mem.SetEnabled(false)
-		off := Run(seed, profile)
-		if on.Fingerprint != off.Fingerprint {
-			t.Fatalf("seed %d fingerprint differs: pooled %016x vs SLINGSHOT_POOL=off %016x",
-				seed, on.Fingerprint, off.Fingerprint)
-		}
-		if on.String() != off.String() {
-			t.Fatalf("seed %d report differs between pooling modes:\n--- pooled ---\n%s\n--- off ---\n%s",
-				seed, on, off)
-		}
 	}
 }
 
@@ -128,27 +99,6 @@ func TestSoakReportsShardAware(t *testing.T) {
 		return []*Report{{Seed: seed}, {Seed: seed}}
 	}); !ok {
 		t.Fatal("clean fleet soak reported failure")
-	}
-}
-
-// TestChaosDeterminism runs one seed twice and demands byte-identical
-// reports (events, metric series, fingerprint); a different seed must
-// diverge.
-func TestChaosDeterminism(t *testing.T) {
-	a := Run(7, Light())
-	b := Run(7, Light())
-	if a.String() != b.String() {
-		t.Fatalf("same seed produced different reports:\n--- a ---\n%s\n--- b ---\n%s", a, b)
-	}
-	if a.Fingerprint != b.Fingerprint {
-		t.Fatalf("fingerprints differ: %016x vs %016x", a.Fingerprint, b.Fingerprint)
-	}
-	if len(a.Bins) == 0 {
-		t.Fatal("no traffic bins recorded")
-	}
-	c := Run(8, Light())
-	if c.Fingerprint == a.Fingerprint {
-		t.Fatalf("different seeds produced identical fingerprint %016x", a.Fingerprint)
 	}
 }
 

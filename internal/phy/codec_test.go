@@ -267,10 +267,10 @@ func TestCodecPrefixSensitivity(t *testing.T) {
 	}
 }
 
-// TestLLRLaneWorkerDeterminism checks that the soft-value path the PHY
+// TestSoftValuePathWorkerDeterminism checks that the soft-value path the PHY
 // drain stages for a slot (PrepareBlock → FECJob → fec.DecodeBatchInto →
 // FinishFECJob) produces bit-identical outcomes at different worker counts.
-func TestLLRLaneWorkerDeterminism(t *testing.T) {
+func TestSoftValuePathWorkerDeterminism(t *testing.T) {
 	run := func() []DecodeOutcome {
 		c := NewCodec(0, 0, 0, 42)
 		// Waterfall SNR: mixed OK/failed blocks and varied iteration

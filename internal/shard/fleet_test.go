@@ -8,32 +8,6 @@ import (
 	"slingshot/internal/sim"
 )
 
-// runWith executes one fleet with explicit shard-group and worker counts.
-func runWith(t *testing.T, cfg Config, shards, workers int) *Report {
-	t.Helper()
-	cfg.Shards = shards
-	prev := par.SetWorkers(workers)
-	defer par.SetWorkers(prev)
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("fleet run (shards=%d workers=%d): %v", shards, workers, err)
-	}
-	return rep
-}
-
-// TestFleetDeterminism: the full chaos scenario renders byte-identically
-// at every shard-group × worker-pool combination.
-func TestFleetDeterminism(t *testing.T) {
-	cfg := ChaosConfig(6, 36)
-	cfg.Seed = 7
-	base := runWith(t, cfg, 1, 1).String()
-	for _, c := range [][2]int{{2, 3}, {3, 1}, {6, 3}} {
-		if got := runWith(t, cfg, c[0], c[1]).String(); got != base {
-			t.Fatalf("report diverged at shards=%d workers=%d", c[0], c[1])
-		}
-	}
-}
-
 // TestFleetChaosFailoverBound: every killed cell stays within the paper's
 // §8.2 ≤3-dropped-TTI budget, the spare pool accounting matches the kill
 // count, and granted cells end up serving from the reprovisioned side.

@@ -320,33 +320,6 @@ func TestOverflowRaceCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestCorrelatedDeterminismAcrossShards: the rack-loss and upgrade-wave
-// reports are byte-identical at shard counts 1 and 4 (the in-package
-// half of the contract; the facade-level cases live in the root
-// determinism test).
-func TestCorrelatedDeterminismAcrossShards(t *testing.T) {
-	for _, scenario := range []string{"rack-loss", "upgrade-wave"} {
-		var want string
-		for _, shards := range []int{1, 4} {
-			cfg, err := CorrelatedConfig(scenario, 8, 48)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Seed = 7
-			cfg.Shards = shards
-			rep, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == "" {
-				want = rep.String()
-			} else if rep.String() != want {
-				t.Fatalf("%s report differs at shards=%d", scenario, shards)
-			}
-		}
-	}
-}
-
 func TestCorrelatedConfigUnknownScenario(t *testing.T) {
 	if _, err := CorrelatedConfig("nope", 4, 16); err == nil {
 		t.Fatal("unknown scenario accepted")

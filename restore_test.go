@@ -1,184 +1,23 @@
 package slingshot
 
-// Restore-replay equivalence: the checkpoint/restore subsystem
-// (internal/ckpt) must hand back a fleet whose remaining run is
-// byte-identical to an uninterrupted one — at any checkpoint barrier, for
-// every scenario family, at any shards × workers × pooling execution
-// configuration. This is the snapshot-era extension of the
-// TestReportsInvariantTo{WorkerCount,Pooling,ShardCount} contract: a
-// snapshot is only trustworthy if execution knobs can change between
-// capture and restore without moving a single report byte.
+// Restore-replay equivalence at every barrier, shard count, worker width
+// and pooling mode is the R axis of TestDeterminismMatrix.
 
 import (
 	"strings"
 	"testing"
 
 	"slingshot/internal/ckpt"
-	"slingshot/internal/mem"
-	"slingshot/internal/par"
 	"slingshot/internal/shard"
 	"slingshot/internal/sim"
 )
-
-// restoreScenario shrinks a registry scenario to test size. The returned
-// config is what both the straight run and every restore rebuild from.
-func restoreScenario(t *testing.T, name string) shard.Config {
-	t.Helper()
-	cfg, err := ckpt.Scenario(name, 6, 18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	switch name {
-	case "fleet-chaos":
-		cfg.Horizon = 220 * sim.Millisecond
-	case "frontier-sample":
-		cfg.Horizon = 240 * sim.Millisecond
-	}
-	return cfg
-}
-
-// runWithCheckpoints runs cfg to the horizon on the given shard count,
-// capturing snapshots at the requested barrier times, and returns the
-// report plus the captures.
-func runWithCheckpoints(t *testing.T, cfg shard.Config, shards int, at []sim.Time) (string, []*ckpt.Snapshot) {
-	t.Helper()
-	cfg.Shards = shards
-	f, err := shard.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start()
-	snaps := make([]*ckpt.Snapshot, len(at))
-	capture := func() {
-		for i, want := range at {
-			if snaps[i] == nil && f.Now() >= want {
-				snaps[i] = ckpt.Capture(f)
-			}
-		}
-	}
-	capture() // k = 0 snapshots happen before the first step
-	for {
-		done, err := f.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		capture()
-		if done {
-			break
-		}
-	}
-	rep := f.Finish()
-	for i, s := range snaps {
-		if s == nil {
-			t.Fatalf("no barrier reached checkpoint target %v (index %d)", at[i], i)
-		}
-	}
-	return rep.String(), snaps
-}
-
-func TestRestoreReplayEquivalence(t *testing.T) {
-	for _, name := range []string{"fig8", "fleet-chaos", "frontier-sample"} {
-		t.Run(name, func(t *testing.T) {
-			cfg := restoreScenario(t, name)
-			// Checkpoint targets: before the first step, mid-run, and the
-			// barrier one step short of the horizon.
-			targets := []sim.Time{0, cfg.Horizon / 2, cfg.Horizon - cfg.Step}
-
-			// Reference run and snapshots at shards=1, workers=1.
-			prev := par.SetWorkers(1)
-			ref, snaps := runWithCheckpoints(t, cfg, 1, targets)
-			par.SetWorkers(prev)
-
-			for _, shards := range []int{1, 4} {
-				for _, workers := range []int{1, 4} {
-					prevW := par.SetWorkers(workers)
-					// Straight run at this execution config must match the
-					// reference (the PR-5 invariant, re-asserted here so a
-					// restore mismatch below is attributable to ckpt).
-					straight, _ := runWithCheckpoints(t, cfg, shards, nil)
-					if straight != ref {
-						par.SetWorkers(prevW)
-						t.Fatalf("straight run diverged at shards=%d workers=%d", shards, workers)
-					}
-					// Every snapshot restores onto this shard count and
-					// finishes byte-identically.
-					for i, s := range snaps {
-						f, err := ckpt.RestoreExec(s, shards)
-						if err != nil {
-							par.SetWorkers(prevW)
-							t.Fatalf("restore k=%v shards=%d workers=%d: %v", targets[i], shards, workers, err)
-						}
-						rep, err := f.Run()
-						if err != nil {
-							par.SetWorkers(prevW)
-							t.Fatalf("post-restore run k=%v: %v", targets[i], err)
-						}
-						if rep.String() != ref {
-							par.SetWorkers(prevW)
-							t.Fatalf("restored run diverged: k=%v shards=%d workers=%d\n--- ref ---\n%s\n--- got ---\n%s",
-								targets[i], shards, workers, ref, rep.String())
-						}
-					}
-					par.SetWorkers(prevW)
-				}
-			}
-		})
-	}
-}
-
-// TestRestoreReplayEquivalencePooling pins the third execution axis: a
-// snapshot captured with pooling ON must restore and finish identically
-// with pooling OFF, and vice versa. Snapshots digest pooled buffers
-// immediately (wire.Blob copies, bulk payloads fold to hashes), so no
-// recycled buffer can leak into — or differ across — the images.
-func TestRestoreReplayEquivalencePooling(t *testing.T) {
-	cfg := restoreScenario(t, "fleet-chaos")
-	target := []sim.Time{cfg.Horizon / 2}
-
-	prevPool := mem.SetEnabled(true)
-	defer mem.SetEnabled(prevPool)
-	ref, snapsOn := runWithCheckpoints(t, cfg, 2, target)
-
-	mem.SetEnabled(false)
-	refOff, snapsOff := runWithCheckpoints(t, cfg, 2, target)
-	if refOff != ref {
-		t.Fatal("straight runs diverged across pooling modes")
-	}
-	if string(snapsOff[0].State) != string(snapsOn[0].State) {
-		t.Fatal("snapshot state images differ across pooling modes")
-	}
-
-	// Captured pooled, restored unpooled (and the reverse).
-	f, err := ckpt.Restore(snapsOn[0])
-	if err != nil {
-		t.Fatalf("restore pooled snapshot with pooling off: %v", err)
-	}
-	rep, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.String() != ref {
-		t.Fatal("pooled snapshot restored unpooled diverged")
-	}
-	mem.SetEnabled(true)
-	f, err = ckpt.Restore(snapsOff[0])
-	if err != nil {
-		t.Fatalf("restore unpooled snapshot with pooling on: %v", err)
-	}
-	rep, err = f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.String() != ref {
-		t.Fatal("unpooled snapshot restored pooled diverged")
-	}
-}
 
 // TestForcedViolationReplayDump is the time-travel acceptance check: a
 // run with a forced rogue violation is re-run from the nearest checkpoint
 // with the flight recorder armed, and the replayed flight dump must be
 // byte-identical to the straight run's — same history, observed twice.
 func TestForcedViolationReplayDump(t *testing.T) {
+	setAxes(t, cell{W: 4})
 	cfg := shard.DefaultConfig(4, 8)
 	cfg.Trace = true
 	cfg.Horizon = 160 * sim.Millisecond

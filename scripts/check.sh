@@ -36,12 +36,12 @@ go test ./internal/chaos -run TestChaosSoak -chaos.seeds 25
 
 echo "== trace determinism smoke (-race) =="
 # The observability layer's own gate: the golden 100-TTI trace must match
-# byte-for-byte (and re-match at workers=4), a forced invariant violation
-# must produce the flight-recorder dump identically at workers 1 vs 4, and
-# the serialized chaos trace must be invariant to worker-pool width.
+# byte-for-byte (and re-match at workers=4), and a forced invariant
+# violation must produce the flight-recorder dump identically at workers 1
+# vs 4. (The serialized chaos trace's invariance to worker-pool width is
+# TestDeterminismMatrix/chaos, which sets its own workers.)
 SLINGSHOT_WORKERS=4 go test -race ./internal/trace -run 'TestGoldenTrace' -count=1
 SLINGSHOT_WORKERS=4 go test -race ./internal/chaos -run 'TestFlightRecorder|TestCleanRunHasNoFlightDump' -count=1
-go test -race . -run 'TestReportsInvariantToWorkerCount/chaos-trace' -count=1
 
 echo "== kernel differential lane (-race, hot kernels vs retained references) =="
 # The SoA/closed-form/branch-free kernels are each pinned bit-exactly to a
@@ -49,17 +49,16 @@ echo "== kernel differential lane (-race, hot kernels vs retained references) ==
 # differential suites under the race detector with the worker pool live —
 # any float reordering, tie-break change, or lane-staging race shows here
 # before it can skew a report. TestSyndromeFirst* pins the FEC pre-pass to
-# iteration 1's output on the scalar and lane-group paths, and
-# TestLLRLaneWorkerDeterminism pins the PHY drain's staging of a slot's
-# soft values to be worker-count invariant.
+# iteration 1's output on the scalar and lane-group paths.
+# (TestSoftValuePathWorkerDeterminism, which pins the PHY drain's staging
+# of a slot's soft values to be worker-count invariant, sets four workers
+# itself, so the race lane above runs it.)
 SLINGSHOT_WORKERS=4 go test -race ./internal/fec -count=1 \
     -run 'TestDecodeMatchesReference|TestDecodeBatchMatchesReference|TestSyndromeFirst'
 SLINGSHOT_WORKERS=4 go test -race ./internal/dsp -count=1 \
     -run 'TestDemodulateMatchesReference'
 SLINGSHOT_WORKERS=4 go test -race ./internal/fronthaul -count=1 \
     -run 'TestBFPMatchesReference|TestBFPHostile'
-SLINGSHOT_WORKERS=4 go test -race ./internal/phy -count=1 \
-    -run 'TestLLRLaneWorkerDeterminism'
 # The random stream's batch kernels, same discipline: NormFill against
 # Norm draw by draw, the generator's distribution gate and golden draws,
 # TransmitInto and the word-wise pilots against their scalar spellings, the
@@ -127,14 +126,6 @@ echo "== metro scale lane (-race, 100 cells / 10k UEs) =="
 # complete cleanly under the race detector (short horizon: the point is
 # barrier/mailbox correctness at width, not a long soak).
 go run -race ./cmd/experiments -cells 100 -ues 10000 -horizon 15ms | tail -3
-
-echo "== checkpoint lane (-race restore-replay equivalence) =="
-# The time-travel contract: restore-at-barrier-k then run-to-horizon must
-# be byte-identical to the uninterrupted run across shards x workers, and
-# a forced rogue violation's replayed flight dump must match the straight
-# run's. Run under the race detector with the worker pool live.
-SLINGSHOT_WORKERS=4 go test -race . -count=1 \
-    -run 'TestRestoreReplayEquivalence$|TestRestoreReplayEquivalencePooling|TestForcedViolationReplayDump'
 
 echo "== checkpoint lane (slingshotd HTTP smoke) =="
 # Resident-server smoke: bring up -serve with a forced rogue violation,

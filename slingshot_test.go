@@ -87,23 +87,24 @@ func TestFacadeBaselineRejectsMigrate(t *testing.T) {
 	}
 }
 
-func TestFacadeDeterminism(t *testing.T) {
-	run := func() []time.Duration {
-		d := New(DefaultOptions())
-		d.Start()
-		d.At(100*time.Millisecond, d.KillActivePHY)
-		d.RunFor(300 * time.Millisecond)
-		defer d.Stop()
-		return d.Detections()
+// TestMetroSoakShardAware: fleet soaks surface per-cell reports through
+// the shard-aware chaos.SoakReports path.
+func TestMetroSoakShardAware(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow: fleet soak")
 	}
-	a, b := run(), run()
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("detection counts differ: %v vs %v", a, b)
+	if failing, ok := MetroSoak(2, 4, 16); !ok {
+		t.Fatalf("fleet soak failed:\n%s", failing)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("non-deterministic detection time: %v vs %v", a[i], b[i])
-		}
+	// Invalid fleet shapes must fail the soak, not silently pass.
+	if _, ok := MetroSoak(1, 2, 1); ok {
+		t.Fatal("soak passed a fleet with empty cells")
+	}
+}
+
+func TestChaosUnknownProfile(t *testing.T) {
+	if _, err := Chaos(1, "nope"); err == nil {
+		t.Fatal("unknown profile accepted")
 	}
 }
 
