@@ -299,12 +299,15 @@ func matrixRows(t *testing.T) []row {
 	return []row{
 		{name: "fig8", run: experiment("fig8", 0.5), cells: []cell{w4, poff}},
 		{name: "sec82", run: experiment("sec82", 0.5), cells: []cell{w4, poff}},
-		// The serialized event trace rides along: emission happens only on
-		// the event-loop goroutine, so no knob may reorder or drop events.
 		{name: "chaos", run: report(func(c cell) (string, error) {
-			rep, tr, err := ChaosTraced(5+uint64(c.Seed), "light")
-			return rep + tr, err
+			return Chaos(5+uint64(c.Seed), "light")
 		}), cells: []cell{w4, poff, {Seed: 1}}},
+		// The serialized event trace: emission happens only on the
+		// event-loop goroutine, so no knob may reorder or drop events.
+		{name: "chaos-trace", run: report(func(cell) (string, error) {
+			_, tr, err := ChaosTraced(5, "light")
+			return tr, err
+		}), cells: []cell{w4, poff}},
 		{name: "chaos-seeds", run: report(func(cell) (string, error) {
 			var b strings.Builder
 			for seed := uint64(1); seed <= 5; seed++ {
