@@ -392,11 +392,6 @@ func (d *Deployment) ActivePHYServerOf(cell uint16) uint8 {
 	return d.Switch.Mapping(uint8(cell))
 }
 
-// ActivePHY returns the active PHY process.
-func (d *Deployment) ActivePHY() *phy.PHY {
-	return d.PHYs[d.ActivePHYServer()]
-}
-
 // ActiveL2 returns the L2 currently serving the cell (differs from L2
 // only in the baseline after failover).
 func (d *Deployment) ActiveL2() *l2.L2 { return d.activeL2 }

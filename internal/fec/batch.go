@@ -1,6 +1,7 @@
 package fec
 
 import (
+	"fmt"
 	"sync"
 
 	"slingshot/internal/par"
@@ -20,9 +21,9 @@ type DecodeJob struct {
 // batchCtx carries one DecodeBatchInto call's slices plus long-lived
 // closures over itself, so handing work to par.ForEach does not allocate a
 // fresh escaping closure per batch. units holds the batch's lane grouping:
-// {start, count} runs of jobs, where count == SoALanes marks a group the
-// SoA kernel decodes in lockstep and anything smaller decodes through the
-// single-block kernel.
+// {start, count} runs of jobs, where count == SoALanes marks a group that
+// runs the pre-pass four lanes at once and anything smaller decodes job by
+// job.
 type batchCtx struct {
 	results []DecodeResult
 	jobs    []DecodeJob
@@ -39,11 +40,10 @@ var batchCtxPool = sync.Pool{New: func() any {
 }}
 
 // runUnit decodes one grouped unit on a worker: a leftover run job-by-job,
-// or a full lane group. A lane group first runs the syndrome-first
-// pre-pass on all four lanes at once (syndrome.go) and records the lanes
-// that pass; a group with no passing lane goes through the SoA kernel, and
-// otherwise only the failed lanes decode, through the scalar iterative
-// kernel.
+// or a full lane group. A lane group runs the syndrome-first pre-pass on
+// all four lanes at once (syndrome.go) and records the lanes that pass;
+// the failed lanes then decode one by one through the iterative kernel,
+// sharing the scratch that held the pre-pass's hard decisions.
 func (b *batchCtx) runUnit(u int) {
 	start, n := int(b.units[u][0]), int(b.units[u][1])
 	if n != SoALanes {
@@ -56,29 +56,50 @@ func (b *batchCtx) runUnit(u int) {
 	jobs := b.jobs[start : start+n]
 	results := b.results[start : start+n]
 	c.checkLanes(jobs)
-	ss := c.getSoAScratch()
-	bad := c.syndromeSoA(jobs, ss.hardw)
-	if bad == allBad {
-		c.decodeSoA(results, jobs, ss)
-	} else {
-		done := c.soaFinish(results, jobs, ss.hardw, 0, bad, 1, false)
-		// The failed lanes share one scalar scratch, free again once
-		// finish has copied each lane's info out.
-		var s *DecodeScratch
-		for l := range jobs {
-			if done&(0xff<<(8*l)) != 0 {
-				continue
-			}
-			if s == nil {
-				s = c.getScratch()
-			}
+	s := c.getScratch()
+	bad := c.syndromeSoA(jobs, s.hardw)
+	c.soaFinish(results, jobs, s.hardw, bad)
+	for l := range jobs {
+		if bad&(0xff<<(8*l)) != 0 {
 			results[l] = jobs[l].finish(c.decodeIter(jobs[l].LLR, jobs[l].MaxIters, s))
 		}
-		if s != nil {
-			c.putScratch(s)
+	}
+	c.putScratch(s)
+}
+
+// checkLanes panics unless every lane's LLR vector is N long, so the
+// lane-group pre-pass can reslice without checking.
+func (c *Code) checkLanes(jobs []DecodeJob) {
+	for l := range jobs {
+		if len(jobs[l].LLR) != c.N {
+			panic(fmt.Sprintf("fec: Decode got %d LLRs, code N=%d", len(jobs[l].LLR), c.N))
 		}
 	}
-	c.putSoAScratch(ss)
+}
+
+// soaFinish records every lane whose byte of the packed violation mask bad
+// is clear — its hard decisions are its decode — with its info bits
+// extracted from hardw and Iterations 1. Info lands in jobs[l].Info when
+// its capacity allows, else in a fresh copy.
+func (c *Code) soaFinish(results []DecodeResult, jobs []DecodeJob, hardw []uint32, bad uint32) {
+	for l := range jobs {
+		shift := 8 * l
+		if bad&(0xff<<shift) != 0 {
+			continue
+		}
+		j := &jobs[l]
+		var info []byte
+		if cap(j.Info) >= c.K {
+			j.Info = j.Info[:c.K]
+			info = j.Info
+		} else {
+			info = make([]byte, c.K)
+		}
+		for i := range info {
+			info[i] = byte(hardw[i] >> shift)
+		}
+		results[l] = DecodeResult{Info: info, OK: true, Iterations: 1}
+	}
 }
 
 func (b *batchCtx) decode(i int) {
@@ -111,9 +132,8 @@ func (j *DecodeJob) finish(res DecodeResult) DecodeResult {
 //
 // Runs of SoALanes consecutive jobs sharing one (Code, MaxIters) form a
 // lane group: the syndrome-first pre-pass checks the group's four blocks
-// at once on the worker, and blocks it cannot finish are decoded in
-// lockstep by the SoA lane-group kernel (soa.go) when none of the four
-// passed, else one by one. Leftovers and heterogeneous jobs take the
+// at once on the worker, and blocks it cannot finish decode one by one
+// through the iterative kernel. Leftovers and heterogeneous jobs take the
 // single-block path. Every path is bit-exact with the reference decoder,
 // so results are independent of the grouping — and therefore of batch
 // boundaries, worker count, and pooling.

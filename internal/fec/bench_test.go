@@ -55,17 +55,16 @@ func qam16LLR(coded []byte, rng *sim.RNG) []float64 {
 	return dsp.Demodulate(rx, dsp.QAM16, ch.NoiseVar())[:len(coded)]
 }
 
-// BenchmarkFECDecode tracks the min-sum decode kernel as the PHY hot path
-// runs it since the SoA rework: DecodeBatchInto advancing a lane group of
-// SoALanes same-code blocks in lockstep, pooled scratch, zero allocations,
-// one op = one block. Every lane decodes the same LLR vector the scalar
-// baseline decoded (BENCH_2026-08-06_baseline.json), so the ns/op delta
-// against the baseline is the per-block kernel speedup, workload held
-// fixed. BenchmarkFECDecodeSingle tracks the scalar path the batch falls
-// back to for leftover jobs. The ≈ 6 dB block never passes the
-// syndrome-first pre-pass, so both measure a pre-pass miss: the kernel
-// plus the pre-pass's early exit. BenchmarkFECDecodeClean* and
-// BenchmarkFECDecodeSlotMixed measure the blocks it finishes.
+// BenchmarkFECDecode tracks the min-sum decode as the PHY hot path runs
+// it: DecodeBatchInto on one lane group of SoALanes same-code blocks,
+// pooled scratch, zero allocations, one op = one block. Every lane decodes
+// the same LLR vector the scalar baseline decoded
+// (BENCH_2026-08-06_baseline.json), so the ns/op delta against the
+// baseline is the per-block speedup, workload held fixed. The ≈ 6 dB block
+// never passes the syndrome-first pre-pass, so each lane pays the group
+// pre-pass's early exit and then the scalar iterative kernel that
+// BenchmarkFECDecodeSingle measures alone. BenchmarkFECDecodeClean* and
+// BenchmarkFECDecodeSlotMixed measure the blocks the pre-pass finishes.
 func BenchmarkFECDecode(b *testing.B) {
 	c, llr := benchCodeAndLLR()
 	jobs := make([]DecodeJob, SoALanes)

@@ -7,11 +7,12 @@ import (
 	"slingshot/internal/sim"
 )
 
-// These tests pin the flat and SoA kernels to the retained reference
-// decoder (reference_test.go): same info bits, same OK verdict, same iteration
-// count, for convergent and non-convergent inputs alike. They are the
-// contract that lets the hot paths restructure freely — any reordering that
-// changes a floating-point result or a tie-break shows up here.
+// These tests pin the flat kernel and both entry points to the retained
+// reference decoder (reference_test.go): same info bits, same OK verdict,
+// same iteration count, for convergent and non-convergent inputs alike.
+// They are the contract that lets the hot paths restructure freely — any
+// reordering that changes a floating-point result or a tie-break shows up
+// here.
 
 // TestDecodeMatchesReference drives the scalar kernel and the reference
 // with identical hostile LLRs (pure noise, so many trials never converge
@@ -40,7 +41,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 }
 
 // TestDecodeBatchMatchesReference drives DecodeBatchInto with ragged batches —
-// SoA lane groups plus leftovers, mixed per-job iteration limits, noisy
+// lane groups plus leftovers, mixed per-job iteration limits, noisy
 // codewords spanning convergent and non-convergent SNRs — and checks every
 // job against the reference. Trials from 300 on add a high-SNR arm
 // (≈ 10–17 dB), where most blocks finish in the syndrome-first pre-pass

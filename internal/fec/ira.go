@@ -33,8 +33,7 @@ type Code struct {
 	// CSR edge layout of the Tanner graph, row-major: edge e of row i sits
 	// at edgeVar[rowStart[i]:rowStart[i+1]] and names the variable column it
 	// touches. One flat int32 array replaces the per-row []int pointer
-	// chase, so the min-sum inner loops stream contiguous memory and the
-	// same index pass can serve a whole SoA lane group (soa.go).
+	// chase, so the min-sum inner loops stream contiguous memory.
 	edgeVar  []int32
 	rowStart []int32
 	// Variable-major mirror: varEdge[varStart[v]:varStart[v+1]] lists the
@@ -58,8 +57,6 @@ type Code struct {
 	// DecodeScratch makes the shared, immutable Tanner graph safe to decode
 	// concurrently; see TestDecodeSharedCodeConcurrently.
 	scratch sync.Pool
-	// soaPool pools lane-major scratch for the SoA batch decoder (soa.go).
-	soaPool sync.Pool
 }
 
 // DecodeScratch is the per-call working state of the min-sum decoder:
@@ -74,7 +71,8 @@ type DecodeScratch struct {
 	rowSum []uint64  // 3 summary words per row for the first-iteration path
 	rowAcc []byte    // per-row parity accumulator
 	hard   []byte
-	info   []byte // result staging for DecodeWithScratch
+	info   []byte   // result staging for DecodeWithScratch
+	hardw  []uint32 // a lane group's packed hard decisions (syndromeSoA)
 }
 
 // NewScratch allocates decoder scratch sized for the code.
@@ -87,6 +85,7 @@ func (c *Code) NewScratch() *DecodeScratch {
 		rowAcc: make([]byte, c.M),
 		hard:   make([]byte, c.N),
 		info:   make([]byte, c.K),
+		hardw:  make([]uint32, c.N),
 	}
 }
 
@@ -267,7 +266,7 @@ type DecodeResult struct {
 	Iterations int    // iterations actually used
 }
 
-// Min-sum constants shared by the flat kernels (ira.go, soa.go).
+// Min-sum constants shared by the kernel and the syndrome pre-pass.
 const (
 	msAlpha  = 0.8                        // normalization factor for min-sum
 	signMask = 1 << 63                    // IEEE-754 double sign bit
@@ -284,6 +283,29 @@ func post1(rs *[3]uint64, ab, ms uint64) float64 {
 		pk = rs[2]
 	}
 	return math.Float64frombits(pk ^ ms)
+}
+
+// row5 reduces a five-tap row's message bits to its sign product and two
+// smallest magnitudes — the straight-line body behind decodeIter's
+// iteration-1 check pass. min1/min2/sign are order-independent
+// reductions, so starting the chain from the first two taps instead of
+// infBits is bit-exact with the generic loop. Small enough to inline, so
+// the five message words stay in registers at the call site.
+func row5(m0, m1, m2, m3, m4 uint64) (sign, min1, min2 uint64) {
+	sign = m0 ^ m1 ^ m2 ^ m3 ^ m4
+	ab0 := m0 &^ signMask
+	ab1 := m1 &^ signMask
+	ab2 := m2 &^ signMask
+	ab3 := m3 &^ signMask
+	ab4 := m4 &^ signMask
+	a1, a2 := min(ab0, ab1), max(ab0, ab1)
+	a2 = min(a2, max(a1, ab2))
+	a1 = min(a1, ab2)
+	a2 = min(a2, max(a1, ab3))
+	a1 = min(a1, ab3)
+	a2 = min(a2, max(a1, ab4))
+	a1 = min(a1, ab4)
+	return sign, a1, a2
 }
 
 // DecodeWithScratch runs normalized min-sum belief propagation over channel
@@ -350,7 +372,7 @@ func (c *Code) decodeIter(llr []float64, maxIters int, s *DecodeScratch) DecodeR
 	// Iteration 1, check pass: row summaries only. The explicit +0 matches
 	// the reference's first accumulation pass exactly (it maps any -0.0
 	// LLR to +0.0, as x + 0.0 does). Five-tap rows — all of them but the
-	// first (NewCode) — run the straight-line soaRow5 body: the gathers
+	// first (NewCode) — run the straight-line row5 body: the gathers
 	// issue together and the loop control disappears.
 	for i := 0; i < c.M; i++ {
 		start, end := int(rowStart[i]), int(rowStart[i+1])
@@ -358,7 +380,7 @@ func (c *Code) decodeIter(llr []float64, maxIters int, s *DecodeScratch) DecodeR
 		min1, min2 := infBits, infBits
 		if end-start == 5 {
 			ev := edgeVar[start : start+5 : start+5]
-			signAcc, min1, min2 = soaRow5(
+			signAcc, min1, min2 = row5(
 				math.Float64bits(llr[ev[0]]+0),
 				math.Float64bits(llr[ev[1]]+0),
 				math.Float64bits(llr[ev[2]]+0),

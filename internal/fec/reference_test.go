@@ -8,8 +8,8 @@ import (
 // This file retains the pre-SIMD-shaped min-sum decoder verbatim: the
 // textbook formulation over the per-row rowVars slices, with float sign
 // flips and an explicit argmin index. It is the differential-test oracle
-// for the flat CSR kernel (ira.go), the SoA lane-group kernel (soa.go) and
-// the syndrome-first pre-pass (syndrome.go) — TestDecodeMatchesReference
+// for the flat CSR kernel (ira.go) and the syndrome-first pre-pass
+// (syndrome.go), through both entry points — TestDecodeMatchesReference
 // and friends assert the production paths are bit-exact against it — and
 // the plainest statement of the algorithm for readers. It lives in a test
 // file so that no production path can reach it.

@@ -73,11 +73,22 @@ func (c *Code) syndromeOK(llr []float64, hard []byte) bool {
 	return worst <= infBits
 }
 
+// SoALanes is the lane width of the batch pre-pass: syndromeSoA checks
+// this many same-code transport blocks at once, their hard decisions
+// packed one byte per lane into a uint32 per variable, so one XOR per
+// accumulator tap advances four parities.
+const SoALanes = 4
+
+// allBad is the packed violation mask meaning "every lane has a violated
+// check": hard bits are 0/1 bytes, so a violated lane accumulates exactly
+// 1 in its byte.
+const allBad = 0x01010101
+
 // syndromeSoA is the pre-pass for one lane group: the four lanes' hard
-// decisions packed one byte per lane into hardw (soaRecord's layout), and
-// the accumulator check run on all four lanes at once. It returns the
-// packed violation mask: 1 in a lane's byte when that lane has a violated
-// check or a NaN input, 0 when its hard decisions are its decode.
+// decisions packed one byte per lane into hardw, and the accumulator check
+// run on all four lanes at once. It returns the packed violation mask: 1
+// in a lane's byte when that lane has a violated check or a NaN input, 0
+// when its hard decisions are its decode.
 func (c *Code) syndromeSoA(jobs []DecodeJob, hardw []uint32) uint32 {
 	k, n := c.K, c.N
 	l0 := jobs[0].LLR[:n]

@@ -249,8 +249,9 @@ func TestSyndromeFirstBatch(t *testing.T) {
 }
 
 // TestDecodeBatchIntoSyndromeAllocs pins the steady state at zero
-// allocations for a slot whose blocks all pass the pre-pass and for one
-// whose lane groups mix passing and iterating blocks.
+// allocations for a slot whose blocks all pass the pre-pass, for one whose
+// lane groups mix passing and iterating blocks, and for one whose lane
+// groups all fail it, so every block iterates.
 func TestDecodeBatchIntoSyndromeAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
@@ -260,14 +261,21 @@ func TestDecodeBatchIntoSyndromeAllocs(t *testing.T) {
 	clean := func() []float64 { return awgnLLR(c.Encode(randomBits(rng, c.K)), 40, rng) }
 	noisy := func() []float64 { return awgnLLR(c.Encode(randomBits(rng, c.K)), 1.6, rng) }
 	for _, tc := range []struct {
-		name string
-		mix  bool
-	}{{"all-pass", false}, {"mixed", true}} {
+		name  string
+		noisy func(i int) bool
+	}{
+		{"all-pass", func(int) bool { return false }},
+		{"mixed", func(i int) bool { return i%4 == 1 }},
+		{"all-fail", func(int) bool { return true }},
+	} {
 		jobs := make([]DecodeJob, 16)
 		for i := range jobs {
 			llr := clean()
-			if tc.mix && i%4 == 1 {
+			if tc.noisy(i) {
 				llr = noisy()
+				if c.syndromeOK(llr, make([]byte, c.K)) {
+					t.Fatalf("%s: job %d's 1.6 dB block passes the pre-pass", tc.name, i)
+				}
 			}
 			jobs[i] = DecodeJob{Code: c, LLR: llr, MaxIters: 8, Info: make([]byte, 0, c.K)}
 		}
@@ -285,7 +293,7 @@ func TestDecodeBatchIntoSyndromeAllocs(t *testing.T) {
 				iterated++
 			}
 		}
-		if tc.mix && iterated == 0 {
+		if tc.name != "all-pass" && iterated == 0 {
 			t.Fatalf("%s: no block needed the iterative kernel", tc.name)
 		}
 	}

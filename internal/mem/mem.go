@@ -275,13 +275,6 @@ func (a *Arena) Bytes(n int) []byte {
 	return b
 }
 
-// AppendTrack records an externally leased buffer (e.g. one grown by
-// append past its original capacity) so ReleaseAll recycles the final
-// backing array instead of the stale original.
-func (a *Arena) AppendTrack(b []byte) {
-	a.bytes = append(a.bytes, b)
-}
-
 // Complex leases a []complex128 of length n, tracked for ReleaseAll.
 func (a *Arena) Complex(n int) []complex128 {
 	b := GetComplex(n)

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives used by the
-// experiment harnesses: exact-percentile samples, CDFs, time-binned series,
-// and counters. Experiments are offline and deterministic, so we keep every
+// experiment harnesses: exact-percentile samples, time-binned series and
+// text tables. Experiments are offline and deterministic, so we keep every
 // sample and compute exact order statistics instead of approximating.
 package metrics
 
@@ -38,8 +38,9 @@ func (s *Sample) sortValues() {
 	}
 }
 
-// Percentile returns the p-th percentile (p in [0,100]) using
-// nearest-rank interpolation. It returns NaN on an empty sample.
+// Percentile returns the p-th percentile (p in [0,100]), interpolating
+// linearly between the two closest ranks (rank p/100·(n-1) over the sorted
+// observations). It returns NaN on an empty sample.
 func (s *Sample) Percentile(p float64) float64 {
 	if len(s.values) == 0 {
 		return math.NaN()
@@ -82,53 +83,12 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.values))
 }
 
-// StdDev returns the population standard deviation (NaN if empty).
-func (s *Sample) StdDev() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	m := s.Mean()
-	var sum float64
-	for _, v := range s.values {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.values)))
-}
-
-// Values returns a sorted copy of all observations.
-func (s *Sample) Values() []float64 {
-	s.sortValues()
-	out := make([]float64, len(s.values))
-	copy(out, s.values)
-	return out
-}
-
-// CDF returns (value, cumulative-fraction) points suitable for plotting,
-// one point per observation.
-func (s *Sample) CDF() []CDFPoint {
-	s.sortValues()
-	pts := make([]CDFPoint, len(s.values))
-	n := float64(len(s.values))
-	for i, v := range s.values {
-		pts[i] = CDFPoint{Value: v, Fraction: float64(i+1) / n}
-	}
-	return pts
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
 // TimeSeries bins observations into fixed-width virtual-time buckets,
 // summing within each bucket. It backs the per-10ms throughput plots.
 type TimeSeries struct {
 	BinWidth sim.Time
 	Start    sim.Time
 	bins     []float64
-	counts   []int
 }
 
 // NewTimeSeries creates a series with the given origin and bin width.
@@ -148,10 +108,8 @@ func (ts *TimeSeries) Add(at sim.Time, v float64) {
 	idx := int((at - ts.Start) / ts.BinWidth)
 	for idx >= len(ts.bins) {
 		ts.bins = append(ts.bins, 0)
-		ts.counts = append(ts.counts, 0)
 	}
 	ts.bins[idx] += v
-	ts.counts[idx]++
 }
 
 // ExtendTo ensures bins exist through time t (so trailing zero bins are
@@ -163,7 +121,6 @@ func (ts *TimeSeries) ExtendTo(t sim.Time) {
 	idx := int((t - ts.Start) / ts.BinWidth)
 	for idx >= len(ts.bins) {
 		ts.bins = append(ts.bins, 0)
-		ts.counts = append(ts.counts, 0)
 	}
 }
 
@@ -172,14 +129,6 @@ func (ts *TimeSeries) NumBins() int { return len(ts.bins) }
 
 // BinSum returns the accumulated value of bin i.
 func (ts *TimeSeries) BinSum(i int) float64 { return ts.bins[i] }
-
-// BinCount returns the number of observations in bin i.
-func (ts *TimeSeries) BinCount(i int) int { return ts.counts[i] }
-
-// BinStart returns the start time of bin i.
-func (ts *TimeSeries) BinStart(i int) sim.Time {
-	return ts.Start + sim.Time(i)*ts.BinWidth
-}
 
 // RatePerSecond returns bin i's sum normalized to a per-second rate. For
 // byte counts this yields bytes/sec.
@@ -192,18 +141,6 @@ func (ts *TimeSeries) RatePerSecond(i int) float64 {
 func (ts *TimeSeries) Mbps(i int) float64 {
 	return ts.RatePerSecond(i) * 8 / 1e6
 }
-
-// Counter is a labeled monotonic event counter.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.Value++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n int64) { c.Value += n }
 
 // Table renders simple aligned text tables for experiment output.
 type Table struct {

@@ -276,9 +276,9 @@ func (c *Codec) PrepareBlock(rx []complex128, slot uint64, ue uint16, m dsp.Modu
 // FECJob returns the block's FEC decode work as a fec.DecodeJob for
 // fec.DecodeBatchInto. The job's Info buffer is the block's recycled info
 // staging, so a slot's batch decodes with zero allocations, and runs of
-// same-code jobs (the common case: one cell's slot) are advanced in
-// lockstep by the SoA lane-group kernel. Only call for Valid blocks; pair
-// each result with FinishFECJob.
+// same-code jobs (the common case: one cell's slot) share the four-lane
+// syndrome pre-pass. Only call for Valid blocks; pair each result with
+// FinishFECJob.
 func (c *Codec) FECJob(pb *PreparedBlock, iters int) fec.DecodeJob {
 	if cap(pb.buf.info) < c.Code.K {
 		pb.buf.info = make([]byte, c.Code.K)

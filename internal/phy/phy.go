@@ -135,8 +135,9 @@ type PHY struct {
 	iqBuf []complex128
 	// ulJobs/ulResults/ulJobOf are the recycled drainUL FEC-batch staging:
 	// the slot's valid blocks become one fec.DecodeBatchInto call (runs of
-	// same-code jobs decode in SoA lockstep), ulJobOf maps each pending
-	// block to its job index (-1 for blocks with nothing to decode).
+	// same-code jobs share the four-lane pre-pass), ulJobOf maps each
+	// pending block to its job index (-1 for blocks with nothing to
+	// decode).
 	// drainUL is a single event and the batch blocks until done, so one
 	// set of buffers serves every slot.
 	ulJobs    []fec.DecodeJob

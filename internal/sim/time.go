@@ -36,9 +36,6 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // Micros returns the time as floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Add returns t shifted by d.
-func (t Time) Add(d Time) Time { return t + d }
-
 // Sub returns the delta t-u.
 func (t Time) Sub(u Time) Time { return t - u }
 

@@ -10,16 +10,7 @@ import (
 // the disabled form: Inc/Add no-op, Value reads 0 — so components can hold
 // counters unconditionally and pay one pointer compare when tracing is off.
 type Counter struct {
-	name string
-	v    uint64
-}
-
-// Name returns the counter's registry name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
+	v uint64
 }
 
 // Inc adds one.
@@ -47,16 +38,7 @@ func (c *Counter) Value() uint64 {
 // Gauge is a per-deployment instantaneous value (queue depth, active HARQ
 // sequences). Nil-safe like Counter.
 type Gauge struct {
-	name string
-	v    int64
-}
-
-// Name returns the gauge's registry name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
+	v int64
 }
 
 // Set replaces the value.
@@ -106,7 +88,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	c := r.counters[name]
 	if c == nil {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -119,7 +101,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g

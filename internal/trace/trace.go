@@ -296,11 +296,6 @@ func (r *Recorder) Timeline() string {
 	return timeline(r.Events())
 }
 
-// TimelineLast renders the most recent n events.
-func (r *Recorder) TimelineLast(n int) string {
-	return timeline(r.Last(n))
-}
-
 func timeline(events []Event) string {
 	var b strings.Builder
 	for _, e := range events {

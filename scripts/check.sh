@@ -1,6 +1,7 @@
 #!/bin/sh
 # Full local gate: vet, build, tests under the race detector, the chaos
-# soak, and a short fuzz smoke over each binary codec package.
+# soak, and a short fuzz smoke over each binary codec package and the FEC
+# batch decoder.
 # Usage: scripts/check.sh [fuzz-seconds-per-target]
 set -eu
 
@@ -44,12 +45,12 @@ SLINGSHOT_WORKERS=4 go test -race ./internal/trace -run 'TestGoldenTrace' -count
 SLINGSHOT_WORKERS=4 go test -race ./internal/chaos -run 'TestFlightRecorder|TestCleanRunHasNoFlightDump' -count=1
 
 echo "== kernel differential lane (-race, hot kernels vs retained references) =="
-# The SoA/closed-form/branch-free kernels are each pinned bit-exactly to a
+# The flat/closed-form/branch-free kernels are each pinned bit-exactly to a
 # straightforward reference implementation kept in-tree. Run the
 # differential suites under the race detector with the worker pool live —
-# any float reordering, tie-break change, or lane-staging race shows here
-# before it can skew a report. TestSyndromeFirst* pins the FEC pre-pass to
-# iteration 1's output on the scalar and lane-group paths.
+# any float reordering, tie-break change, or scratch-sharing race shows
+# here before it can skew a report. TestSyndromeFirst* pins the FEC
+# pre-pass to iteration 1's output on the scalar and lane-group paths.
 # (TestSoftValuePathWorkerDeterminism, which pins the PHY drain's staging
 # of a slot's soft values to be worker-count invariant, sets four workers
 # itself, so the race lane above runs it.)
@@ -194,7 +195,8 @@ for target in \
     internal/phy:FuzzCodecRoundTrip \
     internal/phy:FuzzDecodeBlockGarbage \
     internal/shard:FuzzDecodeMessage \
-    internal/ckpt:FuzzCheckpointDecode
+    internal/ckpt:FuzzCheckpointDecode \
+    internal/fec:FuzzDecodeBatch
 do
     pkg="${target%%:*}"
     fn="${target##*:}"
