@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10
 
-.PHONY: build test race vet fuzz soak check bench profile
+.PHONY: build test race vet fuzz soak check
 
 build:
 	$(GO) build ./...
@@ -20,27 +20,6 @@ soak:
 
 fuzz:
 	scripts/check.sh $(FUZZTIME)
-
-# Benchmark regression harness: runs every benchmark (-count 5, -benchmem)
-# and writes BENCH_<date>.json next to the committed baseline. Compare the
-# new file against the baseline before merging perf-sensitive changes
-# (scripts/bench.sh --compare <baseline.json> runs + gates in one step).
-bench:
-	scripts/bench.sh
-
-# CPU and allocation profiles of the end-to-end hot path: one iteration of
-# Fig8 (video soak) and Table2 (stress matrix), then the top-10 lines of
-# each profile. Artifacts stay in profiles/ for interactive pprof sessions.
-profile:
-	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'Fig8Video|Table2Stress' -benchtime 1x \
-		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof \
-		-o profiles/slingshot.test .
-	@echo "== top-10 CPU =="
-	$(GO) tool pprof -top -nodecount=10 profiles/slingshot.test profiles/cpu.pprof
-	@echo "== top-10 alloc_space =="
-	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space \
-		profiles/slingshot.test profiles/mem.pprof
 
 # The full local gate: vet + build + race tests + chaos soak + a short
 # fuzz smoke per codec package.

@@ -37,7 +37,7 @@ func main() {
 
 		cells      = flag.Int("cells", 0, "run the sharded metro scenario with this many cells instead of an experiment")
 		ues        = flag.Int("ues", 0, "total UEs across the metro fleet (with -cells)")
-		shards     = flag.Int("shards", 0, "shard-group count (0 = SLINGSHOT_SHARDS, then GOMAXPROCS); reports are identical at any value")
+		shards     = flag.Int("shards", 0, "shard-group count (0 = GOMAXPROCS); reports are identical at any value")
 		fleetChaos = flag.Bool("fleet-chaos", false, "use the fleet-chaos scenario: PHY kills + pooled spares + migration storm (with -cells)")
 		fleetProf  = flag.String("fleet-profile", "", "correlated-failure scenario over a zoned topology: independent, rack-loss, partition, upgrade-wave (with -cells)")
 		horizon    = flag.Duration("horizon", 0, "override the metro virtual run length (with -cells)")
@@ -117,7 +117,7 @@ func validateMetroFlags(cells, ues, shards int, horizon time.Duration, uesSet, h
 		return fmt.Errorf("-horizon must be positive (got %v)", horizon)
 	}
 	if shards < 0 {
-		return fmt.Errorf("-shards must be ≥ 0 (got %d); 0 reads SLINGSHOT_SHARDS", shards)
+		return fmt.Errorf("-shards must be ≥ 0 (got %d); 0 means GOMAXPROCS", shards)
 	}
 	if shards > cells {
 		return fmt.Errorf("-shards %d exceeds -cells %d: a shard group needs at least one cell", shards, cells)

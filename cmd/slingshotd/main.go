@@ -39,7 +39,7 @@ func main() {
 		serve     = flag.String("serve", "", "run as a resident HTTP server on this address (e.g. :8080); exposes /status /metrics /events /checkpoint /restore")
 		scenario  = flag.String("scenario", "fleet-chaos", "fleet scenario for -serve: "+fmt.Sprint(ckpt.ScenarioNames()))
 		ckptEvery = flag.Int("ckpt-every", 40, "with -serve: checkpoint every N TTI barriers (0 = only on demand)")
-		ckptDir   = flag.String("ckpt-dir", "", "with -serve: checkpoint directory (default $SLINGSHOT_CKPT, else a fresh temp dir)")
+		ckptDir   = flag.String("ckpt-dir", "", "with -serve: checkpoint directory (default a fresh temp dir)")
 		rogueAt   = flag.Float64("rogue-at", 0, "with -serve: inject an out-of-order RLC delivery at this virtual second (0 = never) to force an invariant violation and exercise the auto-replay path")
 		rogueCell = flag.Int("rogue-cell", 0, "with -serve: cell targeted by -rogue-at")
 	)

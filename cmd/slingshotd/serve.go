@@ -74,9 +74,6 @@ func runServe(o serveOpts) {
 	cfg.RogueCell = o.rogueCell
 	ckptDir := o.ckptDir
 	if ckptDir == "" {
-		ckptDir = os.Getenv("SLINGSHOT_CKPT")
-	}
-	if ckptDir == "" {
 		ckptDir, err = os.MkdirTemp("", "slingshot-ckpt-")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

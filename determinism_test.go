@@ -30,7 +30,7 @@ import (
 // cell is one point on the matrix's axes; the zero value is the base.
 type cell struct {
 	W, S int  // worker-pool width and shard groups; 0 means 1
-	Poff bool // buffer pooling off (SLINGSHOT_POOL=off)
+	Poff bool // buffer pooling off (mem.SetEnabled(false))
 	// R restores the snapshot taken at barrier restoreAt(cfg)[R-1] of the
 	// straight run from (nil: the base) onto S groups, then runs on.
 	R    int

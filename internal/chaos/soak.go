@@ -10,10 +10,11 @@ import "slingshot/internal/par"
 //
 // Seeds are independent simulations, so they shard across the
 // internal/par worker pool; scanning afterwards in ascending order makes
-// the outcome identical to the sequential loop. With SLINGSHOT_WORKERS=1
-// the runs execute inline in ascending order, exactly like the
-// sequential code. A fleet's own internal parallelism nests safely: par
-// batches run inline when the pool is already drained by the soak.
+// the outcome identical to the sequential loop. At one worker
+// (GOMAXPROCS=1 or par.SetWorkers(1)) the runs execute inline in
+// ascending order, exactly like the sequential code. A fleet's own
+// internal parallelism nests safely: par batches run inline when the pool
+// is already drained by the soak.
 func SoakReports(n int, run func(seed uint64) []*Report) (failing *Report, ok bool) {
 	batches := par.Map(n, func(i int) []*Report {
 		return run(uint64(i) + 1)

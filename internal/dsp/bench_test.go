@@ -24,8 +24,8 @@ func benchSymbols(m Modulation, n int) []complex128 {
 	return syms
 }
 
-// benchMods names the per-constellation sub-benchmarks tracked by
-// scripts/bench.sh (Demodulate/QPSK ... Modulate/256QAM).
+// benchMods names the per-constellation sub-benchmarks
+// (Demodulate/QPSK ... Modulate/256QAM).
 var benchMods = []Modulation{QPSK, QAM16, QAM64, QAM256}
 
 func BenchmarkDemodulate(b *testing.B) {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -79,6 +81,26 @@ func TestFig9Shape(t *testing.T) {
 	}
 }
 
+func TestFig10aShape(t *testing.T) {
+	r, err := Run("fig10a", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The failover may blank at most one 10 ms bin of either DL flow.
+	m := regexp.MustCompile(`DL (TCP|UDP): pre (\d+) Mbps, min-after \d+ Mbps, zero-bins (\d+)`).FindAllStringSubmatch(r.Summary, -1)
+	if len(m) != 2 {
+		t.Fatalf("summary: %s", r.Summary)
+	}
+	for _, f := range m {
+		if pre, _ := strconv.Atoi(f[2]); pre == 0 {
+			t.Fatalf("DL %s carried nothing before the failover: %s", f[1], r.Summary)
+		}
+		if zero, _ := strconv.Atoi(f[3]); zero > 1 {
+			t.Fatalf("DL %s blanked %d bins: %s", f[1], zero, r.Summary)
+		}
+	}
+}
+
 func TestFig10bShape(t *testing.T) {
 	r, err := Run("fig10b", 0.5)
 	if err != nil {
@@ -92,6 +114,44 @@ func TestFig10bShape(t *testing.T) {
 		if strings.Contains(line, "planned migration") && !strings.Contains(line, "zero-bins 0") {
 			t.Fatalf("planned migration dropped traffic: %s", line)
 		}
+	}
+}
+
+func TestAblationsShape(t *testing.T) {
+	r, err := Run("ablations", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"A1:", "A2:", "A3:", "A4:", "null FAPIs (Slingshot):"} {
+		if !strings.Contains(r.Output, want) {
+			t.Fatalf("ablations missing %q:\n%s", want, r.Output)
+		}
+	}
+	// A2: the null-FAPI standby does no PHY work at all.
+	if !strings.Contains(r.Output, "standby 0 (0% overhead)") {
+		t.Fatalf("null-FAPI standby did work:\n%s", r.Output)
+	}
+}
+
+func TestExtL2Shape(t *testing.T) {
+	r, err := Run("extl2", 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// PASS: the restored L2 keeps the bearer and out-delivers a cold restart.
+	if !strings.HasPrefix(r.Summary, "PASS") {
+		t.Fatalf("extl2: %s\n%s", r.Summary, r.Output)
+	}
+}
+
+func TestExtMIMOShape(t *testing.T) {
+	r, err := Run("extmimo", 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// PASS: recovery time grows with the retraining horizon.
+	if !strings.HasPrefix(r.Summary, "PASS") {
+		t.Fatalf("extmimo: %s\n%s", r.Summary, r.Output)
 	}
 }
 

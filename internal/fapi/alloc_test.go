@@ -13,7 +13,7 @@ import (
 // means some stage stopped reusing pooled storage.
 func TestPDUAssemblyAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
-		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
+		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
 	prev := mem.SetEnabled(true)
 	defer mem.SetEnabled(prev)
@@ -43,7 +43,7 @@ func TestPDUAssemblyAllocs(t *testing.T) {
 // path, whose decode leases Data buffers that ReleaseDeep must return.
 func TestTxDataAssemblyAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
-		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
+		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
 	prev := mem.SetEnabled(true)
 	defer mem.SetEnabled(prev)

@@ -58,9 +58,9 @@ func qam16LLR(coded []byte, rng *sim.RNG) []float64 {
 // BenchmarkFECDecode tracks the min-sum decode as the PHY hot path runs
 // it: DecodeBatchInto on one lane group of SoALanes same-code blocks,
 // pooled scratch, zero allocations, one op = one block. Every lane decodes
-// the same LLR vector the scalar baseline decoded
-// (BENCH_2026-08-06_baseline.json), so the ns/op delta against the
-// baseline is the per-block speedup, workload held fixed. The ≈ 6 dB block
+// the same LLR vector the scalar baseline decoded (BenchmarkFECDecode as
+// measured at commit a1c823e), so the ns/op delta against that baseline
+// is the per-block speedup, workload held fixed. The ≈ 6 dB block
 // never passes the syndrome-first pre-pass, so each lane pays the group
 // pre-pass's early exit and then the scalar iterative kernel that
 // BenchmarkFECDecodeSingle measures alone. BenchmarkFECDecodeClean* and

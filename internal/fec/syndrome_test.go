@@ -254,7 +254,7 @@ func TestSyndromeFirstBatch(t *testing.T) {
 // groups all fail it, so every block iterates.
 func TestDecodeBatchIntoSyndromeAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
-		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
+		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
 	c := Get(256, 512, 42)
 	rng := sim.NewRNG(80)

@@ -15,7 +15,7 @@ import (
 // neither is pooled by design.
 func TestPacketRoundTripAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
-		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
+		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
 	prev := mem.SetEnabled(true)
 	defer mem.SetEnabled(prev)

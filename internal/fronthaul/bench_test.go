@@ -9,7 +9,7 @@ import (
 // BenchmarkBFPRoundTrip tracks the BFP compress+decompress kernel as the
 // hot paths run it — append-style APIs over recycled buffers, zero
 // allocations per packet. (The seed kernel allocated the encode and decode
-// buffers on every call; see BENCH_2026-08-06_baseline.json.) 288 samples
+// buffers on every call, as measured at commit a1c823e.) 288 samples
 // is a 24-PRB allocation, a typical sampled-block payload.
 // BenchmarkBFPCompress and BenchmarkBFPDecompress track the two kernel
 // halves separately so a regression in one is not masked by the other.

@@ -3,36 +3,57 @@ package mem
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
 // Double-free / leak detector for the []byte pools (the pools every wire
-// path leases from). Armed automatically in -race builds and by
-// SLINGSHOT_POOL=debug; off otherwise so the hot path stays two atomic
-// loads. It tracks backing-array pointers:
+// path leases from). Armed automatically in -race builds and, for the span
+// of one test, by TrackLeases; off otherwise so the hot path stays two
+// atomic loads. It tracks backing-array pointers:
 //
 //   - pooled: buffers currently resting in a pool. PutBytes on a pointer
 //     already here is a double free → panic with both call sites' sizes.
-//   - leased (debug mode only): buffers currently leased out. LeakedLeases
+//   - leased (TrackLeases only): buffers currently leased out. LeakedLeases
 //     reports the count so tests can assert a slot drained fully. Not
 //     maintained in plain -race builds — intentional lose-to-GC paths
 //     (dropped frames) would grow it without bound across a full test run.
 var (
-	raceEnabled   bool // set by detector_race.go in -race builds
-	debugDetector bool // set from SLINGSHOT_POOL=debug
+	raceEnabled bool        // set by detector_race.go in -race builds
+	tracking    atomic.Bool // set between TrackLeases and its stop
 
 	detMu     sync.Mutex
 	detPooled map[*byte]struct{}
 	detLeased map[*byte]struct{}
 )
 
-func detectorOn() bool { return raceEnabled || debugDetector }
+func detectorOn() bool { return raceEnabled || tracking.Load() }
 
-// DetectorArmed reports whether lease tracking is active (-race build or
-// SLINGSHOT_POOL=debug). Allocation-count tests skip when it is: the
-// detector's bookkeeping allocates, which is the point of debug mode and
-// the ruin of testing.AllocsPerRun.
+// DetectorArmed reports whether the detector is active (-race build or
+// inside TrackLeases). Allocation-count tests skip when it is: the
+// detector's bookkeeping allocates, which is the ruin of
+// testing.AllocsPerRun.
 func DetectorArmed() bool { return detectorOn() }
+
+// TrackLeases arms the detector, leak counting included, until the
+// returned stop is called. It is test-scoped: arm it around the pipeline a
+// test drains, compare LeakedLeases across the drain, and stop it before
+// the test returns. Only buffers leased while it is armed are counted.
+func TrackLeases() (stop func()) {
+	detMu.Lock()
+	detLeased = make(map[*byte]struct{})
+	detMu.Unlock()
+	tracking.Store(true)
+	return func() {
+		tracking.Store(false)
+		detMu.Lock()
+		detLeased = nil
+		if !raceEnabled {
+			detPooled = nil // no longer maintained, so it would go stale
+		}
+		detMu.Unlock()
+	}
+}
 
 func detectorLease(b []byte) {
 	if !detectorOn() || cap(b) == 0 {
@@ -43,10 +64,7 @@ func detectorLease(b []byte) {
 	if detPooled != nil {
 		delete(detPooled, p)
 	}
-	if debugDetector {
-		if detLeased == nil {
-			detLeased = make(map[*byte]struct{})
-		}
+	if detLeased != nil {
 		detLeased[p] = struct{}{}
 	}
 	detMu.Unlock()
@@ -72,13 +90,13 @@ func detectorPut(b []byte) {
 	detMu.Unlock()
 }
 
-// LeakedLeases reports the number of leased-but-never-recycled buffers in
-// SLINGSHOT_POOL=debug mode, or -1 when leak tracking is not armed.
+// LeakedLeases reports the number of buffers leased since TrackLeases and
+// not yet recycled, or -1 when TrackLeases is not armed.
 func LeakedLeases() int {
-	if !debugDetector {
-		return -1
-	}
 	detMu.Lock()
 	defer detMu.Unlock()
+	if detLeased == nil {
+		return -1
+	}
 	return len(detLeased)
 }

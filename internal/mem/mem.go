@@ -21,31 +21,20 @@
 //     GC reclaims it; pools are an optimization, never a correctness
 //     requirement.
 //
-// The SLINGSHOT_POOL=off environment variable (or SetEnabled(false))
-// disables recycling entirely: Get* degrade to plain make and Put* to
-// no-ops, which is the reference behavior determinism tests compare
-// against. SLINGSHOT_POOL=debug (or any -race build) arms a
-// double-free/leak detector.
+// Pooling is on at start. SetEnabled(false) disables recycling entirely:
+// Get* degrade to plain make and Put* to no-ops, which is the reference
+// behavior determinism tests compare against. Any -race build arms a
+// double-free detector; TrackLeases arms leak counting for one test.
 package mem
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 )
 
 var enabled atomic.Bool
 
-func init() {
-	on := true
-	switch os.Getenv("SLINGSHOT_POOL") {
-	case "off", "0", "false":
-		on = false
-	case "debug":
-		debugDetector = true
-	}
-	enabled.Store(on)
-}
+func init() { enabled.Store(true) }
 
 // Enabled reports whether pooling is active.
 func Enabled() bool { return enabled.Load() }

@@ -80,9 +80,7 @@ func TestArenaReleaseAll(t *testing.T) {
 }
 
 func TestDoubleFreePanicsUnderDetector(t *testing.T) {
-	if !detectorOn() {
-		t.Skip("detector not armed (needs -race or SLINGSHOT_POOL=debug)")
-	}
+	defer TrackLeases()()
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)
 	b := GetBytes(256)
@@ -93,6 +91,31 @@ func TestDoubleFreePanicsUnderDetector(t *testing.T) {
 		}
 	}()
 	PutBytes(b)
+}
+
+func TestTrackLeasesCountsOutstanding(t *testing.T) {
+	prev := SetEnabled(true)
+	defer SetEnabled(prev)
+	if n := LeakedLeases(); n != -1 {
+		t.Fatalf("LeakedLeases before TrackLeases = %d, want -1", n)
+	}
+	stop := TrackLeases()
+	a, b := GetBytes(256), GetBytes(1500)
+	if n := LeakedLeases(); n != 2 {
+		t.Fatalf("LeakedLeases with two leases out = %d, want 2", n)
+	}
+	PutBytes(a)
+	PutBytes(b)
+	if n := LeakedLeases(); n != 0 {
+		t.Fatalf("LeakedLeases after both returned = %d, want 0", n)
+	}
+	stop()
+	if n := LeakedLeases(); n != -1 {
+		t.Fatalf("LeakedLeases after stop = %d, want -1", n)
+	}
+	if DetectorArmed() != raceEnabled {
+		t.Fatal("stop left the detector armed")
+	}
 }
 
 func TestAllocsSteadyState(t *testing.T) {

@@ -10,10 +10,10 @@
 //     compute whose inputs were captured on the event-loop goroutine.
 //   - Results are merged by index: task i writes slot i, so the assembled
 //     output is independent of worker scheduling.
-//   - SLINGSHOT_WORKERS=1 (or a 1-core GOMAXPROCS) degrades every batch to
-//     an inline sequential loop on the caller's goroutine — the exact
-//     schedule the sequential simulator had, which CI's -race lane and the
-//     workers=1-vs-N determinism tests rely on.
+//   - The pool is GOMAXPROCS wide at start. A width of 1 (GOMAXPROCS=1, or
+//     SetWorkers(1)) degrades every batch to an inline sequential loop on
+//     the caller's goroutine — the exact schedule the sequential simulator
+//     had, which the workers=1-vs-N determinism tests compare against.
 //
 // Total in-flight workers across nested batches are bounded by a global
 // token pool of Workers()-1 extra goroutines. Nested ForEach calls that
@@ -22,9 +22,7 @@
 package par
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -71,17 +69,7 @@ func (b *batchState) run() {
 }
 
 func init() {
-	SetWorkers(defaultWorkers())
-}
-
-// defaultWorkers reads SLINGSHOT_WORKERS, falling back to GOMAXPROCS.
-func defaultWorkers() int {
-	if v := os.Getenv("SLINGSHOT_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
+	SetWorkers(runtime.GOMAXPROCS(0))
 }
 
 // Workers returns the configured worker-pool width (≥1). 1 means fully
@@ -93,8 +81,8 @@ func Workers() int {
 }
 
 // SetWorkers overrides the pool width and returns the previous value.
-// Intended for tests (workers=1 vs workers=N determinism) and the
-// SLINGSHOT_WORKERS escape hatch; safe to call between batches.
+// Intended for tests (workers=1 vs workers=N determinism) and benchmarks
+// that pin their width; safe to call between batches.
 func SetWorkers(n int) (prev int) {
 	if n < 1 {
 		n = 1

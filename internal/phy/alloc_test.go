@@ -23,7 +23,7 @@ import (
 // engine-internal noise.
 func TestUplinkSlotSteadyStateAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
-		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
+		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
 	prevPool := mem.SetEnabled(true)
 	defer mem.SetEnabled(prevPool)
@@ -151,7 +151,7 @@ func BenchmarkPHYNullSlot(b *testing.B) {
 // allocations once the pools and slot rings are warm.
 func TestNullSlotSteadyStateAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
-		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
+		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
 	defer mem.SetEnabled(mem.SetEnabled(true))
 	step := nullSlotPHY()

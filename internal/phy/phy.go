@@ -112,7 +112,7 @@ type PHY struct {
 	// Trace, when non-nil, records typed observability events (TTI
 	// boundaries, decode outcomes, fronthaul tx/rx, crashes). Emission
 	// happens only on the event-loop goroutine — never inside a par
-	// worker batch — so traces are invariant to SLINGSHOT_WORKERS.
+	// worker batch — so traces are invariant to the worker-pool width.
 	Trace *trace.Recorder
 	// OwnsFAPIData marks that messages delivered to HandleFAPI are owned by
 	// the PHY outright, payload Data included — true on the Orion path,

@@ -84,6 +84,7 @@ func runDense(t *testing.T, workers int) denseRun {
 	t.Helper()
 	prev := par.SetWorkers(workers)
 	defer par.SetWorkers(prev)
+	defer mem.TrackLeases()()
 
 	var run denseRun
 	var rig *denseRig
@@ -105,6 +106,9 @@ func runDense(t *testing.T, workers int) denseRun {
 	last := ulSlots[len(ulSlots)-1]
 	rig.e.RunUntil(phy.SlotStart(last) - 1)
 	before := mem.LeakedLeases()
+	if before < 0 {
+		t.Fatal("lease tracking not armed")
+	}
 	sent := len(run.frames)
 	rig.e.RunUntil(phy.SlotStart(last+1) - 1)
 	if len(run.frames) == sent {

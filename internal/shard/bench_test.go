@@ -8,8 +8,8 @@ import (
 	"slingshot/internal/sim"
 )
 
-// BenchmarkMetroScale is the committed fleet-scale number
-// (BENCH_*_metro.json): a 12-cell / 240-UE metro with ring backhaul
+// BenchmarkMetroScale is the fleet-scale microbenchmark (first recorded
+// at commit c95e5a0): a 12-cell / 240-UE metro with ring backhaul
 // advancing in lockstep for 100 ms of virtual time — per-op cost is the
 // whole fleet run including bring-up, exchange barriers and teardown.
 func BenchmarkMetroScale(b *testing.B) {

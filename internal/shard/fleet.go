@@ -2,10 +2,8 @@ package shard
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 
 	"slingshot/internal/chaos"
@@ -30,8 +28,8 @@ type Config struct {
 
 	// Shards is the runner-group count: cells are partitioned into this
 	// many groups, each advanced by one internal/par worker per lockstep
-	// step. 0 reads SLINGSHOT_SHARDS, falling back to GOMAXPROCS. Purely
-	// an execution knob — reports are byte-identical for any value.
+	// step. 0 means GOMAXPROCS. Purely an execution knob — reports are
+	// byte-identical for any value.
 	Shards int
 
 	// Seed drives every per-cell deployment seed and the fault schedule.
@@ -512,17 +510,6 @@ type migCmd struct {
 	cell int
 }
 
-// shardGroups reads SLINGSHOT_SHARDS (the execution knob mirroring
-// SLINGSHOT_WORKERS), falling back to GOMAXPROCS.
-func shardGroups() int {
-	if v := os.Getenv("SLINGSHOT_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // New validates the config and builds the fleet: one deployment per cell,
 // faults scheduled, tickers armed. Call Run to execute.
 func New(cfg Config) (*Fleet, error) {
@@ -591,7 +578,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	shards := cfg.Shards
 	if shards <= 0 {
-		shards = shardGroups()
+		shards = runtime.GOMAXPROCS(0)
 	}
 	if shards > cfg.Cells {
 		shards = cfg.Cells

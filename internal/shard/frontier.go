@@ -77,8 +77,8 @@ func ApplySpareRatio(cfg *Config, ratio float64) {
 
 // FrontierSample runs one frontier grid point — scenario × spare ratio ×
 // seed — and folds the fleet report into the sweep's sample form.
-// horizon ≤ 0 keeps the scenario default; shards ≤ 0 reads
-// SLINGSHOT_SHARDS as usual.
+// horizon ≤ 0 keeps the scenario default; shards ≤ 0 means GOMAXPROCS,
+// as in Config.Shards.
 func FrontierSample(scenario string, cells, ues, shards int, horizon sim.Time, ratio float64, seed uint64) (chaos.FrontierSample, error) {
 	cfg, err := CorrelatedConfig(scenario, cells, ues)
 	if err != nil {

@@ -9,8 +9,8 @@
 // invariance of internal/par to shard count: mailbox messages drain in
 // (deliveryTime, srcShard, seq) order, where srcShard is the *logical*
 // per-cell shard index — never the runner-group index — so fleet reports
-// are byte-identical at any shard-group count (SLINGSHOT_SHARDS) and any
-// worker-pool width (SLINGSHOT_WORKERS).
+// are byte-identical at any shard-group count (Config.Shards) and any
+// worker-pool width (par.SetWorkers).
 package shard
 
 import (
@@ -176,7 +176,7 @@ func Decode(data []byte) (Message, error) {
 // instead of freshly allocated: the caller owns it and must
 // mem.PutBytes(m.Payload) once the message is fully consumed (losing it
 // on a drop path is safe — the GC reclaims it). With pooling disabled
-// (SLINGSHOT_POOL=off) it degrades to exactly Decode.
+// (mem.SetEnabled(false)) it degrades to exactly Decode.
 func DecodePooled(data []byte) (Message, error) {
 	return decode(data, true)
 }

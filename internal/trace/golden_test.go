@@ -89,6 +89,6 @@ func TestGoldenTrace(t *testing.T) {
 	prev := par.SetWorkers(4)
 	defer par.SetWorkers(prev)
 	if again := goldenRun(); again != got {
-		t.Fatal("trace differs with SLINGSHOT_WORKERS=4")
+		t.Fatal("trace differs at four workers")
 	}
 }

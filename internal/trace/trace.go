@@ -10,8 +10,8 @@
 //     alloc-free (BenchmarkTraceDisabled pins <2 ns/op, 0 allocs/op).
 //   - Deterministic when enabled. Events may only be emitted from
 //     virtual-time (event-loop) code paths, never from inside an
-//     internal/par worker batch, so a run's trace is byte-identical across
-//     SLINGSHOT_WORKERS values and across repeated runs of the same seed.
+//     internal/par worker batch, so a run's trace is byte-identical at any
+//     worker-pool width and across repeated runs of the same seed.
 //   - Bounded. Events land in a fixed-capacity ring buffer; the recorder
 //     never grows after construction, so tracing a multi-second soak costs
 //     the same memory as tracing a 100-TTI smoke run.

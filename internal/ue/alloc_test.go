@@ -19,7 +19,7 @@ import (
 // keeps its array across collections.
 func TestRadioPathSteadyStateAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
-		t.Skip("pool leak detector armed (-race or SLINGSHOT_POOL=debug); its bookkeeping allocates")
+		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
 	prev := mem.SetEnabled(true)
 	defer mem.SetEnabled(prev)

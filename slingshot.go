@@ -186,10 +186,6 @@ func (dep *Deployment) Migrations() int { return len(dep.d.Switch.MigrationLog) 
 // Stop tears the deployment down (clocks, timers).
 func (dep *Deployment) Stop() { dep.d.Stop() }
 
-// Core exposes the underlying deployment for advanced instrumentation
-// (experiment harnesses, tests).
-func (dep *Deployment) Core() *core.Deployment { return dep.d }
-
 // Experiments lists the paper-reproduction experiment ids runnable via
 // RunExperiment (one per table/figure in §8 of the paper).
 func Experiments() []string { return experiments.List() }
@@ -236,9 +232,8 @@ type MetroOptions struct {
 	// Cells and UEs size the fleet; UEs spread evenly across cells.
 	Cells int
 	UEs   int
-	// Shards is the runner-group count (0 = SLINGSHOT_SHARDS, then
-	// GOMAXPROCS). Purely an execution knob: the report is byte-identical
-	// at any value.
+	// Shards is the runner-group count (0 = GOMAXPROCS). Purely an
+	// execution knob: the report is byte-identical at any value.
 	Shards int
 	// Seed drives the whole fleet; equal seeds give identical reports.
 	Seed uint64
@@ -323,7 +318,7 @@ type FrontierOptions struct {
 	// Cells and UEs size every fleet run in the grid (defaults 8 / 48).
 	Cells int
 	UEs   int
-	// Shards is the execution knob (0 = SLINGSHOT_SHARDS); the table is
+	// Shards is the execution knob (0 = GOMAXPROCS); the table is
 	// byte-identical at any value.
 	Shards int
 	// Seeds runs each grid point for seeds 1..Seeds (default 1).
