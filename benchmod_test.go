@@ -9,8 +9,9 @@ import (
 // own (it replaces slingshot with this checkout), so `go build ./...` and
 // `go test ./...` here never compile it: a change that renames or deletes
 // something bench/probes.go calls — Channel.Transmit, Codec.EncodeBlock,
-// Engine.AfterPooled, fec.DecodeBatchInto and the like — would otherwise
-// pass every test and fail only when the benchmark runs.
+// fec.DecodeBatchInto, Engine.AfterPooled (now only a synonym of After,
+// kept because the probe calls it) and the like — would otherwise pass
+// every test and fail only when the benchmark runs.
 func TestBenchModuleBuilds(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {

@@ -99,7 +99,7 @@ func dumpFronthaul(p *fronthaul.Packet, wire int) {
 	case fronthaul.MsgIQData:
 		fmt.Printf("  U-plane: section(ue)=%d prb=[%d,+%d) bfp=%d-bit payload=%dB aux=%dB\n",
 			p.Section, p.StartPRB, p.NumPRB, p.MantissaBits, len(p.Payload), len(p.Aux))
-		if iq, err := p.IQ(); err == nil {
+		if iq, err := p.AppendIQ(nil); err == nil {
 			n := len(iq)
 			show := n
 			if show > 4 {
@@ -159,7 +159,7 @@ func generate() {
 		UEID: 3, Dir: fronthaul.Uplink, NumPRB: 91, ModBits: 2,
 		HARQID: 5, NewData: true, TBBytes: 4000, GrantSlot: 1234,
 	}})
-	fmt.Printf("# DL C-plane heartbeat with one UL grant section\n%x\n", hb.Serialize())
+	fmt.Printf("# DL C-plane heartbeat with one UL grant section\n%x\n", hb.SerializeInto(make([]byte, hb.WireLen())))
 
 	null := fapi.NullUL(0, 1234)
 	fmt.Printf("# null UL_CONFIG (standby keep-alive)\n%x\n", fapi.Encode(null))

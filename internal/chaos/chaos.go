@@ -10,9 +10,11 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
+	"slingshot/internal/ckpt/wire"
 	"slingshot/internal/core"
 	"slingshot/internal/fapi"
 	"slingshot/internal/fronthaul"
@@ -256,16 +258,15 @@ func (r *Report) body() string {
 	return b.String()
 }
 
-// seriesDigest hashes the 10 ms UL/DL byte series.
+// seriesDigest hashes the 10 ms UL/DL byte series, each value
+// little-endian.
 func (r *Report) seriesDigest() uint64 {
-	h := fnvOffset
+	h := wire.HashInit
+	var b [16]byte
 	for _, bin := range r.Bins {
-		for _, v := range [2]uint64{bin.UL, bin.DL} {
-			for i := 0; i < 8; i++ {
-				h ^= uint64(byte(v >> (8 * i)))
-				h *= fnvPrime
-			}
-		}
+		binary.LittleEndian.PutUint64(b[:8], bin.UL)
+		binary.LittleEndian.PutUint64(b[8:], bin.DL)
+		h = wire.HashMore(h, b[:])
 	}
 	return h
 }
@@ -283,7 +284,7 @@ func (r *Report) String() string {
 // Finalize computes the fingerprint from the report's rendered body.
 // chaos.Run calls it implicitly; external report builders (per-cell fleet
 // reports) call it once after filling in the fields.
-func (r *Report) Finalize() { r.Fingerprint = fnv64(r.body()) }
+func (r *Report) Finalize() { r.Fingerprint = wire.Hash64([]byte(r.body())) }
 
 // Err returns a non-nil error when any invariant was violated.
 func (r *Report) Err() error {
@@ -295,20 +296,6 @@ func (r *Report) Err() error {
 		first = ": " + r.Violations[0].String()
 	}
 	return fmt.Errorf("chaos: seed %d violated %d invariant(s)%s", r.Seed, r.TotalViolations, first)
-}
-
-const (
-	fnvOffset = uint64(0xcbf29ce484222325)
-	fnvPrime  = uint64(0x100000001b3)
-)
-
-func fnv64(s string) uint64 {
-	h := fnvOffset
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
 }
 
 type runner struct {

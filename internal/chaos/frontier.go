@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"slingshot/internal/ckpt/wire"
 	"slingshot/internal/par"
 )
 
@@ -135,7 +136,7 @@ func Frontier(spec FrontierSpec, run func(scenario string, ratio float64, seed u
 			rep.Points = append(rep.Points, p)
 		}
 	}
-	rep.Fingerprint = fnv64(rep.body())
+	rep.Fingerprint = wire.Hash64([]byte(rep.body()))
 	return rep, nil
 }
 

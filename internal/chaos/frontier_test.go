@@ -5,13 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"slingshot/internal/ckpt/wire"
 	"slingshot/internal/par"
 )
 
 // stubSample fabricates a deterministic sample from the grid coordinates
 // alone, so these tests exercise the sweep machinery without fleet runs.
 func stubSample(scenario string, ratio float64, seed uint64) (FrontierSample, error) {
-	h := fnv64(fmt.Sprintf("%s|%.2f|%d", scenario, ratio, seed))
+	h := wire.Hash64([]byte(fmt.Sprintf("%s|%.2f|%d", scenario, ratio, seed)))
 	s := FrontierSample{
 		Cells:       4,
 		Slots:       100,

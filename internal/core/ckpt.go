@@ -22,7 +22,7 @@ func (d *Deployment) SnapshotTo(w *wire.W) {
 			w.I64(int64(ev.At))
 			w.U64(ev.Seq)
 			w.Str(ev.Name)
-			w.Bool(ev.Canceled)
+			w.Bool(false) // retired cancel flag; kept until the image format changes
 		}
 	})
 	w.Section("rng", func(w *wire.W) {

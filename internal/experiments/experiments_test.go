@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"slingshot/internal/shard"
 )
 
 func TestRegistryListsAll(t *testing.T) {
@@ -213,6 +215,37 @@ func TestChaosShape(t *testing.T) {
 	}
 	if !strings.Contains(r.Summary, "upheld every invariant") {
 		t.Fatalf("chaos found violations: %s\n%s", r.Summary, r.Output)
+	}
+}
+
+// TestFrontierShape runs the availability-vs-spare-ratio sweep small: all
+// 16 (scenario, ratio) points, none with an invariant violation, and the
+// report's fingerprint line.
+func TestFrontierShape(t *testing.T) {
+	r, err := Run("frontier", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := map[string]bool{}
+	for _, sc := range shard.FrontierScenarios {
+		scenarios[sc] = true
+	}
+	points := 0
+	for _, line := range strings.Split(r.Output, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || !scenarios[f[0]] {
+			continue
+		}
+		points++
+		if viol := f[len(f)-1]; viol != "0" {
+			t.Errorf("frontier point %s ratio %s recorded %s violation(s)", f[0], f[1], viol)
+		}
+	}
+	if points != 16 {
+		t.Errorf("frontier table has %d points, want 16:\n%s", points, r.Output)
+	}
+	if !regexp.MustCompile(`(?m)^fingerprint: [0-9a-f]{16}$`).MatchString(r.Output) {
+		t.Errorf("frontier output has no fingerprint line:\n%s", r.Output)
 	}
 }
 

@@ -30,7 +30,7 @@ func TestPacketRoundTripAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire := pkt.Serialize()
+		wire := encode(pkt)
 		mem.PutBytes(pkt.Payload)
 		pkt.Recycle()
 		rx, err := Decode(wire)

@@ -9,6 +9,9 @@ import (
 	"slingshot/internal/sim"
 )
 
+// encode serializes p into a fresh buffer.
+func encode(p *Packet) []byte { return p.SerializeInto(make([]byte, p.WireLen())) }
+
 func TestSlotFromCounterRoundTrip(t *testing.T) {
 	f := func(counter uint64) bool {
 		s := SlotFromCounter(counter)
@@ -154,7 +157,7 @@ func TestPacketSerializeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := p.Serialize()
+	wire := encode(p)
 	got, err := Decode(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +168,7 @@ func TestPacketSerializeDecodeRoundTrip(t *testing.T) {
 	if got.Slot != (SlotID{5, 3, 1}) || got.StartPRB != 10 || got.NumPRB != 4 {
 		t.Fatalf("slot/PRB mismatch: %+v", got)
 	}
-	dec, err := got.IQ()
+	dec, err := got.AppendIQ(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func TestPacketDecodeProperty(t *testing.T) {
 	f := func(eaxc uint16, seq uint8, frame uint8, sub, slot uint8, start, num uint16) bool {
 		s := SlotID{Frame: frame, Subframe: sub % 10, Slot: slot % 2}
 		p := NewControl(eaxc, seq, Downlink, s, 3)
-		got, err := Decode(p.Serialize())
+		got, err := Decode(encode(p))
 		if err != nil {
 			return false
 		}
@@ -195,17 +198,17 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatalf("short: %v", err)
 	}
 	p := NewControl(1, 1, Uplink, SlotID{}, 0)
-	wire := p.Serialize()
+	wire := encode(p)
 	wire[0] = 0x30 // version 3
 	if _, err := Decode(wire); err != ErrBadVersion {
 		t.Fatalf("version: %v", err)
 	}
-	wire = p.Serialize()
+	wire = encode(p)
 	wire[8] = 0xF0 // subframe 15
 	if _, err := Decode(wire); err != ErrBadSlot {
 		t.Fatalf("slot: %v", err)
 	}
-	wire = p.Serialize()
+	wire = encode(p)
 	wire[2] = 200 // claims 200-byte payload not present
 	if _, err := Decode(wire); err != ErrShortPacket {
 		t.Fatalf("truncated payload: %v", err)
@@ -214,7 +217,7 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestPeekers(t *testing.T) {
 	p := NewControl(9, 0, Downlink, SlotID{1, 2, 1}, 0)
-	wire := p.Serialize()
+	wire := encode(p)
 	s, dir, ok := PeekSlot(wire)
 	if !ok || s != (SlotID{1, 2, 1}) || dir != Downlink {
 		t.Fatalf("PeekSlot: %v %v %v", s, dir, ok)
@@ -240,8 +243,8 @@ func TestPeekers(t *testing.T) {
 
 func TestIQOnControlPacketFails(t *testing.T) {
 	p := NewControl(1, 0, Uplink, SlotID{}, 0)
-	if _, err := p.IQ(); err == nil {
-		t.Fatal("IQ() on C-plane packet succeeded")
+	if _, err := p.AppendIQ(nil); err == nil {
+		t.Fatal("AppendIQ on C-plane packet succeeded")
 	}
 }
 
@@ -293,14 +296,14 @@ func TestPacketAuxRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Aux = []byte("transport block sidecar")
-	got, err := Decode(p.Serialize())
+	got, err := Decode(encode(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got.Aux) != "transport block sidecar" {
 		t.Fatalf("Aux = %q", got.Aux)
 	}
-	if _, err := got.IQ(); err != nil {
+	if _, err := got.AppendIQ(nil); err != nil {
 		t.Fatalf("IQ after aux: %v", err)
 	}
 }

@@ -15,10 +15,10 @@ func FuzzDecodePacket(f *testing.F) {
 	iq, _ := NewUplinkIQ(3, 7, SlotID{Frame: 1, Subframe: 2, Slot: 1}, 0, 4,
 		make([]complex128, 24), 9)
 	iq.Aux = []byte("aux-bytes")
-	f.Add(iq.Serialize())
+	f.Add(encode(iq))
 	ctl := NewControl(1, 0, Downlink, SlotID{}, 2)
 	ctl.Payload = EncodeSections([]Section{{UEID: 5, NumPRB: 4, ModBits: 2, TBBytes: 100}})
-	f.Add(ctl.Serialize())
+	f.Add(encode(ctl))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x10}, 21))
 
@@ -37,14 +37,14 @@ func FuzzDecodePacket(f *testing.F) {
 		if mt, ok := PeekType(data); !ok || mt != p.Type {
 			t.Fatalf("PeekType = %v/%v, decode = %v", mt, ok, p.Type)
 		}
-		wire := p.Serialize()
+		wire := encode(p)
 		q, err := Decode(wire)
 		if err != nil {
 			t.Fatalf("re-decode of serialized packet failed: %v", err)
 		}
 		// Compare by re-serialization: Serialize is deterministic, so byte
 		// equality means full field equality including payload and aux.
-		if !bytes.Equal(wire, q.Serialize()) {
+		if !bytes.Equal(wire, encode(q)) {
 			t.Fatalf("round trip changed packet:\n  first  %#v\n  second %#v", p, q)
 		}
 	})

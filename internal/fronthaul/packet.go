@@ -87,15 +87,10 @@ const headerLen = 21
 // WireLen returns the packet's serialized size.
 func (p *Packet) WireLen() int { return headerLen + len(p.Payload) + len(p.Aux) }
 
-// Serialize encodes the packet to wire format in a fresh buffer.
-func (p *Packet) Serialize() []byte {
-	return p.SerializeInto(make([]byte, p.WireLen()))
-}
-
 // SerializePooled encodes the packet into a wire buffer leased from
 // internal/mem. Ownership transfers to the caller (typically straight
 // into a Frame.Payload, whose terminal receiver returns it); with pooling
-// disabled this is exactly Serialize.
+// disabled the buffer is a fresh allocation.
 func (p *Packet) SerializePooled() []byte {
 	n := p.WireLen()
 	return p.SerializeInto(mem.GetBytesCap(n)[:n])
@@ -263,17 +258,12 @@ func NewControl(eaxc uint16, seq uint8, dir Direction, slot SlotID, sections uin
 	return p
 }
 
-// IQ decodes the packet's payload into complex samples. Only valid for
-// U-plane packets.
-func (p *Packet) IQ() ([]complex128, error) {
-	return p.AppendIQ(nil)
-}
-
-// AppendIQ is IQ appending into dst (pass a recycled buffer's [:0] to
-// decode a packet without allocating).
+// AppendIQ decodes the packet's payload into complex samples appended to
+// dst (pass a recycled buffer's [:0] to decode a packet without
+// allocating). Only valid for U-plane packets.
 func (p *Packet) AppendIQ(dst []complex128) ([]complex128, error) {
 	if p.Type != MsgIQData {
-		return nil, fmt.Errorf("fronthaul: IQ() on %v packet", p.Type)
+		return nil, fmt.Errorf("fronthaul: AppendIQ on %v packet", p.Type)
 	}
 	return AppendDecompressBFP(dst, p.Payload, int(p.MantissaBits))
 }

@@ -85,7 +85,7 @@ func TestBitflipCorruptionIsNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := pkt.Serialize()
+	wire := encode(pkt)
 	for trial := 0; trial < 200; trial++ {
 		mut := append([]byte(nil), wire...)
 		for k := 0; k < 3; k++ {
@@ -96,7 +96,7 @@ func TestBitflipCorruptionIsNoise(t *testing.T) {
 			continue // header corruption -> rejected, fine
 		}
 		if got.Type == MsgIQData {
-			got.IQ() // must not panic
+			got.AppendIQ(nil) // must not panic
 		}
 	}
 }

@@ -184,7 +184,7 @@ func (l *Link) Send(f *Frame) {
 	if l.deliverFn == nil {
 		l.deliverFn = func(a any) { l.To.HandleFrame(a.(*Frame)) }
 	}
-	l.Engine.AtArgPooled(arrive, "link.deliver", l.deliverFn, f)
+	l.Engine.AtArg(arrive, "link.deliver", l.deliverFn, f)
 }
 
 // Duplex is a bidirectional cable made of two symmetric links.

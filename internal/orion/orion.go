@@ -151,9 +151,9 @@ type Orion struct {
 	lastDeliveredUL map[uint16]uint64
 	lastDeliveredDL map[uint16]uint64
 
-	// Long-lived event callbacks for the pooled scheduler: the hot per-
-	// message paths ride the engine's event free list with these closures,
-	// so deferring a message costs no allocation.
+	// Long-lived AfterArg callbacks: the hot per-message paths ride the
+	// engine's recycled events with these closures, so deferring a
+	// message costs no allocation.
 	routeFromL2Fn func(any)
 	sendToL2Fn    func(any)
 	netInFn       func(any)
@@ -290,7 +290,7 @@ func (o *Orion) netSend(dstServer uint8, m fapi.Message) {
 func (o *Orion) FromL2(m fapi.Message) {
 	o.Stats.FromL2++
 	size := fapi.EncodedSize(m)
-	o.Engine.AfterArgPooled(o.procDelay(size), "orion.from-l2", o.routeFromL2Fn, m)
+	o.Engine.AfterArg(o.procDelay(size), "orion.from-l2", o.routeFromL2Fn, m)
 }
 
 func (o *Orion) routeFromL2(m fapi.Message) {
@@ -406,7 +406,7 @@ func (o *Orion) sendNull(c *cellState, slot uint64, uplink bool) {
 func (o *Orion) FromPHY(m fapi.Message) {
 	o.Stats.FromPHY++
 	size := fapi.EncodedSize(m)
-	o.Engine.AfterArgPooled(o.procDelay(size), "orion.from-phy", o.sendToL2Fn, m)
+	o.Engine.AfterArg(o.procDelay(size), "orion.from-phy", o.sendToL2Fn, m)
 }
 
 // HandleFrame receives network traffic: inter-Orion FAPI and switch
@@ -434,7 +434,7 @@ func (o *Orion) handleFrame(f *netmodel.Frame) {
 		o.Stats.NetIn++
 		n := netInPool.Get()
 		n.m, n.src = m, f.Src
-		o.Engine.AfterArgPooled(o.procDelay(size), "orion.net-in", o.netInFn, n)
+		o.Engine.AfterArg(o.procDelay(size), "orion.net-in", o.netInFn, n)
 	case netmodel.EtherTypeControl:
 		cmd, err := switchsim.DecodeCommand(f.Payload)
 		if err != nil || cmd.Type != switchsim.CmdFailureNotify {

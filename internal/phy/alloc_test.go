@@ -79,7 +79,7 @@ func TestUplinkSlotSteadyStateAllocs(t *testing.T) {
 			pkt.Aux = tb
 			frame := &netmodel.Frame{
 				Src: netmodel.RUAddr(0), Dst: netmodel.PHYAddr(1),
-				Type: netmodel.EtherTypeECPRI, Payload: pkt.Serialize(),
+				Type: netmodel.EtherTypeECPRI, Payload: pkt.SerializePooled(),
 			}
 			e.At(SlotStart(slot)+200*sim.Microsecond, "test.ulpkt", func() {
 				p.HandleFrame(frame)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"slingshot/internal/ckpt/wire"
 	"slingshot/internal/fapi"
 	"slingshot/internal/fec"
 	"slingshot/internal/fronthaul"
@@ -147,8 +148,8 @@ type PHY struct {
 	// (cleared after each use so no TB bytes are pinned across slots).
 	dlJobs     []dlJob
 	dlPayloads map[uint32][]byte
-	// fhTxFn / drainFn are the long-lived callbacks behind the pooled
-	// per-packet and per-slot events (see sim.AfterArgPooled): one closure
+	// fhTxFn / drainFn are the long-lived callbacks behind the
+	// per-packet and per-slot events (see sim.AfterArg): one closure
 	// for the PHY's lifetime, a recycled arg struct per event.
 	fhTxFn  func(any)
 	drainFn func(any)
@@ -486,7 +487,7 @@ func (p *PHY) processSlot(c *cell, slot uint64) {
 		drainAt := SlotStart(slot+uint64(p.Cfg.PipelineSlots)-1) + 450*sim.Microsecond
 		d := ulDrainArgPool.Get()
 		d.cell, d.slot = c.id, slot
-		p.Engine.AtArgPooled(drainAt, "phy.ul-drain", p.drainFn, d)
+		p.Engine.AtArg(drainAt, "phy.ul-drain", p.drainFn, d)
 	}
 
 	// GC stale per-slot state, recycling the retained FAPI messages (the
@@ -564,7 +565,7 @@ func (p *PHY) sendFronthaulAt(delay sim.Time, pkt *fronthaul.Packet, c *cell, vi
 	pkt.Recycle()
 	t := fhTxArgPool.Get()
 	t.frame, t.cellID, t.a, t.b = frame, c.id, traceA, traceB
-	p.Engine.AfterArgPooled(delay, "phy.fh-tx", p.fhTxFn, t)
+	p.Engine.AfterArg(delay, "phy.fh-tx", p.fhTxFn, t)
 }
 
 // transmitDL encodes each DL PDU's sampled block and ships U-plane packets
@@ -743,7 +744,7 @@ func (p *PHY) receiveUL(c *cell, pkt *fronthaul.Packet) {
 		pend.pb = c.codec.PrepareBlock(iq, slot, ue, pdu.Alloc.Mod,
 			c.pool, pdu.HARQID, pdu.NewData)
 		pend.hadIQ = true
-		pend.tbHash = hashTB(pkt.Aux)
+		pend.tbHash = wire.Hash64(pkt.Aux) // identifies the TB for the HARQ-conservation observer
 		// Copy the TB sidecar out of the packet now: the frame's wire
 		// buffer is released when HandleFrame returns, but this pending
 		// entry lives until drainUL. The pending list owns the copy and
@@ -973,17 +974,6 @@ func (p *PHY) DiscardSoftState() int {
 		p.OnSoftDiscard()
 	}
 	return interrupted
-}
-
-// hashTB is FNV-1a over the transport-block sidecar, identifying which TB
-// a reception claims to carry (for the HARQ-conservation observer).
-func hashTB(tb []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, b := range tb {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
-	return h
 }
 
 // ActiveHARQ returns the number of in-flight (un-acked) uplink HARQ

@@ -256,7 +256,7 @@ func sendULPacket(t *testing.T, h *harness, codec *Codec, cell, ue uint16, slot 
 	pkt.Aux = tb
 	h.phy.HandleFrame(&netmodel.Frame{
 		Src: netmodel.RUAddr(cell), Dst: netmodel.PHYAddr(1),
-		Type: netmodel.EtherTypeECPRI, Payload: pkt.Serialize(),
+		Type: netmodel.EtherTypeECPRI, Payload: pkt.SerializePooled(),
 	})
 }
 

@@ -67,7 +67,7 @@ func (rig *denseRig) grant(ulSlot uint64) {
 	cp := fronthaul.NewControl(0, 0, fronthaul.Downlink, fronthaul.SlotFromCounter(now), uint8(len(secs)))
 	cp.Payload = fronthaul.EncodeSections(secs)
 	rig.r.HandleFrame(&netmodel.Frame{Src: netmodel.PHYAddr(1), Dst: rig.r.Addr,
-		Type: netmodel.EtherTypeECPRI, Payload: cp.Serialize()})
+		Type: netmodel.EtherTypeECPRI, Payload: cp.SerializePooled()})
 }
 
 // denseRun is everything a dense-cell run leaves behind that a report could

@@ -82,7 +82,7 @@ type RU struct {
 	stopClock func()
 	lastDL    sim.Time
 	everDL    bool
-	txFn      func(any) // long-lived transmit callback for pooled events
+	txFn      func(any) // long-lived transmit callback for AfterArg events
 
 	// Per-slot staging, recycled across slots: the status packet's report
 	// list and collectUplink's per-UE packets (index i is r.ues[i]'s, nil
@@ -232,7 +232,7 @@ func (r *RU) transmit(offset sim.Time, pkt *fronthaul.Packet, virtual int) {
 			}
 		}
 	}
-	r.Engine.AfterArgPooled(offset, "ru.fh-tx", r.txFn, frame)
+	r.Engine.AfterArg(offset, "ru.fh-tx", r.txFn, frame)
 }
 
 // HandleFrame receives downlink fronthaul from the switch and beams it to

@@ -172,12 +172,12 @@ func TestRUDownlinkDelivery(t *testing.T) {
 			{UEID: 7, Dir: fronthaul.Downlink, GrantSlot: 2},
 		})
 		r.HandleFrame(&netmodel.Frame{Src: netmodel.PHYAddr(1), Dst: r.Addr,
-			Type: netmodel.EtherTypeECPRI, Payload: cp.Serialize()})
+			Type: netmodel.EtherTypeECPRI, Payload: cp.SerializePooled()})
 		up, _ := fronthaul.NewDownlinkIQ(0, 1, fronthaul.SlotFromCounter(2), 0, 1,
 			make([]complex128, 12), 9)
 		up.Section = 7
 		r.HandleFrame(&netmodel.Frame{Src: netmodel.PHYAddr(1), Dst: r.Addr,
-			Type: netmodel.EtherTypeECPRI, Payload: up.Serialize()})
+			Type: netmodel.EtherTypeECPRI, Payload: up.SerializePooled()})
 	})
 	e.RunUntil(3 * phy.TTI)
 	r.Stop()
@@ -202,7 +202,7 @@ func TestRUDownlinkFiltersByUE(t *testing.T) {
 			make([]complex128, 12), 9)
 		up.Section = 9
 		r.HandleFrame(&netmodel.Frame{Src: netmodel.PHYAddr(1), Dst: r.Addr,
-			Type: netmodel.EtherTypeECPRI, Payload: up.Serialize()})
+			Type: netmodel.EtherTypeECPRI, Payload: up.SerializePooled()})
 	})
 	e.RunUntil(2 * phy.TTI)
 	r.Stop()
@@ -222,7 +222,7 @@ func TestRUAliveWindow(t *testing.T) {
 	cp := fronthaul.NewControl(0, 0, fronthaul.Downlink, fronthaul.SlotFromCounter(0), 0)
 	cp.Payload = fronthaul.EncodeSections(nil)
 	r.HandleFrame(&netmodel.Frame{Src: netmodel.PHYAddr(1), Dst: r.Addr,
-		Type: netmodel.EtherTypeECPRI, Payload: cp.Serialize()})
+		Type: netmodel.EtherTypeECPRI, Payload: cp.SerializePooled()})
 	if !r.Alive(time10ms()) {
 		t.Fatal("not alive after DL")
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"slingshot/internal/chaos"
+	"slingshot/internal/ckpt/wire"
 	"slingshot/internal/core"
 	"slingshot/internal/mem"
 	"slingshot/internal/par"
@@ -280,26 +281,16 @@ func (r *Report) Err() error {
 	return fmt.Errorf("shard: fleet seed %d violated %d invariant(s)%s", r.Cfg.Seed, r.Violations, first)
 }
 
-const (
-	fnvOffset = uint64(0xcbf29ce484222325)
-	fnvPrime  = uint64(0x100000001b3)
-)
+const fnvPrime = uint64(0x100000001b3)
 
+// fnvMix folds uint64s into a running FNV-1a hash, each little-endian
+// (wire.HashU64 folds big-endian).
 func fnvMix(h uint64, vs ...uint64) uint64 {
 	for _, v := range vs {
 		for i := 0; i < 8; i++ {
 			h ^= uint64(byte(v >> (8 * i)))
 			h *= fnvPrime
 		}
-	}
-	return h
-}
-
-func fnvString(s string) uint64 {
-	h := fnvOffset
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
 	}
 	return h
 }
@@ -1168,7 +1159,7 @@ func (f *Fleet) report() *Report {
 	if f.cfg.zoned() {
 		r.Zones = f.zoneStats(r)
 	}
-	r.Fingerprint = fnvString(r.body())
+	r.Fingerprint = wire.Hash64([]byte(r.body()))
 	return r
 }
 

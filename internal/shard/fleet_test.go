@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"slingshot/internal/par"
 	"slingshot/internal/sim"
+	"slingshot/internal/trace"
 )
 
 // TestFleetChaosFailoverBound: every killed cell stays within the paper's
@@ -198,5 +201,87 @@ func TestFleetTraceAggregation(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("traced report missing %q", want)
 		}
+	}
+}
+
+// TestFleetFaultsPlanDrawOrder: Faults lists the build-time plan in the
+// order the fault streams drew it — both rack losses from the rack
+// stream, then the rogue — and hands out a copy.
+func TestFleetFaultsPlanDrawOrder(t *testing.T) {
+	cfg, err := CorrelatedConfig("rack-loss", 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.RackLosses = 2
+	cfg.RogueAt = 100 * sim.Millisecond
+	cfg.RogueCell = 5
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Redraw the rack stream the way New forks it (root forks 1..3).
+	root := sim.NewRNG(cfg.Seed ^ 0x5417AD0F1EE7C311)
+	root.Fork(1)
+	root.Fork(2)
+	rackRNG := root.Fork(3)
+	zones := zonesFor(cfg.Cells)
+	lo, hi := cfg.Settle, cfg.Horizon-80*sim.Millisecond
+	perm := rackRNG.Perm(zones)
+	var want []string
+	for k := 0; k < cfg.RackLosses; k++ {
+		at := lo + sim.Time(rackRNG.Float64()*float64(hi-lo))
+		want = append(want, fmt.Sprintf("rack-loss zone=%d at=%dus", perm[k], int64(at/sim.Microsecond)))
+	}
+	want = append(want, "rogue cell=5 at=100000us")
+
+	got := f.Faults()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Faults() = %q, want %q", got, want)
+	}
+	got[0] = "mutated"
+	if f.Faults()[0] != want[0] {
+		t.Fatal("Faults() shares its backing array with the fleet")
+	}
+}
+
+// TestFleetMergedMetrics: MergedMetrics is nil with Trace off; with it on,
+// every merged value is the sum over the cells' registries, and each
+// fleet.shardNNNN.events counter is that cell recorder's Total.
+func TestFleetMergedMetrics(t *testing.T) {
+	cfg := DefaultConfig(3, 6)
+	cfg.Horizon = 60 * sim.Millisecond
+	off, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.MergedMetrics() != nil {
+		t.Fatal("MergedMetrics() non-nil with Trace off")
+	}
+
+	cfg.Trace = true
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := trace.Snapshot{}
+	for _, cs := range f.cells {
+		for name, v := range cs.rec.Metrics().Snapshot() {
+			want[name] += v
+		}
+		if cs.rec.Total() == 0 {
+			t.Fatalf("cell %d recorded no events", cs.idx)
+		}
+		want[fmt.Sprintf("fleet.shard%04d.events", cs.idx)] = int64(cs.rec.Total())
+	}
+	got := f.MergedMetrics().Snapshot()
+	if len(got) <= len(f.cells) {
+		t.Fatalf("merged registry holds only %d values", len(got))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged metrics differ from the per-cell sums:\n got %v\nwant %v", got, want)
 	}
 }

@@ -14,9 +14,9 @@ import "testing"
 //     events plus a tail of far-future timers that route through the
 //     4-ary heap tier and migrate into the calendar as the clock advances.
 //
-// All three run the full schedule→fire cycle through the pooled (no
-// handle) path and must not allocate: the event structs recycle through
-// the engine free list and the calendar buckets were pre-carved at init.
+// All three run the full schedule→fire cycle and must not allocate: the
+// event structs recycle through the queue's free list and the calendar
+// buckets were pre-carved at init.
 
 // benchLoop schedules and drains nPer events per step using offs[i] as
 // each event's delay, forever reusing one engine.
@@ -28,7 +28,7 @@ func benchLoop(b *testing.B, offs []Time) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, d := range offs {
-			e.AfterPooled(d, "bench", fn)
+			e.After(d, "bench", fn)
 		}
 		for e.Step() {
 		}
@@ -70,60 +70,72 @@ func BenchmarkEngineStepMixed(b *testing.B) {
 	benchLoop(b, offs)
 }
 
-// BenchmarkEngineScheduleCancel measures the handle-returning At path plus
-// Remove-driven lazy deletion: half the scheduled events are removed
-// before the drain, the shape of HARQ/timeout timers that almost always
-// cancel. Handle events are not recycled (the free list would break the
-// stale-handle safety contract), so the per-event struct allocation is
-// expected and asserted at exactly 1.
+// BenchmarkEngineScheduleCancel measures Timer.Reset plus Stop-driven
+// lazy deletion: half the armed timers are stopped before the drain, the
+// shape of HARQ/timeout timers that almost always cancel. Stopped events
+// recycle when they surface, so the cycle allocates nothing.
 func BenchmarkEngineScheduleCancel(b *testing.B) {
 	e := NewEngine()
-	evs := make([]*Event, 64)
-	fn := func() {}
+	timers := make([]*Timer, 64)
+	for j := range timers {
+		timers[j] = e.NewTimer("bench", func() {})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range evs {
-			evs[j] = e.After(Time(j)*Microsecond, "bench", fn)
+		for j, tm := range timers {
+			tm.Reset(Time(j) * Microsecond)
 		}
-		for j := 0; j < len(evs); j += 2 {
-			e.Remove(evs[j])
+		for j := 0; j < len(timers); j += 2 {
+			timers[j].Stop()
 		}
 		for e.Step() {
 		}
 	}
 }
 
-// TestEngineStepBenchmarksDoNotAllocate pins the pooled schedule→fire
-// cycle at zero allocations per event in all three queue regimes. This is
-// the alloc gate the microbenchmarks report; asserting it in a test keeps
-// `go test` (not just bench runs) guarding it.
+// TestEngineStepBenchmarksDoNotAllocate pins the schedule→fire cycle at
+// zero allocations per event in all three queue regimes, for every
+// scheduling form (At, After, AtArg) and for a timer that is Reset,
+// Stopped and Reset again before the drain — the stopped firing's event
+// must come back through the free list. This is the alloc gate the
+// microbenchmarks report; asserting it in a test keeps `go test` (not
+// just bench runs) guarding it.
 func TestEngineStepBenchmarksDoNotAllocate(t *testing.T) {
 	shapes := map[string][]Time{
 		"grid":    {0, 0, 500 * Microsecond, 500 * Microsecond, Millisecond},
 		"offgrid": {17 * Microsecond, 341 * Microsecond, 3 * Millisecond},
 		"mixed":   {5 * Microsecond, 700 * Microsecond, 90 * Millisecond},
 	}
+	fn := func() {}
+	fnArg := func(any) {}
+	forms := map[string]func(e *Engine, tm *Timer, d Time){
+		"At":    func(e *Engine, _ *Timer, d Time) { e.At(e.Now()+d, "t", fn) },
+		"After": func(e *Engine, _ *Timer, d Time) { e.After(d, "t", fn) },
+		"AtArg": func(e *Engine, _ *Timer, d Time) { e.AtArg(e.Now()+d, "t", fnArg, e) },
+		"Timer": func(_ *Engine, tm *Timer, d Time) { tm.Reset(d); tm.Stop(); tm.Reset(d) },
+	}
 	for name, offs := range shapes {
-		e := NewEngine()
-		fn := func() {}
-		// Warm: populate the free list and touch the calendar buckets.
-		for r := 0; r < 4; r++ {
-			for _, d := range offs {
-				e.AfterPooled(d, "warm", fn)
+		for form, schedule := range forms {
+			e := NewEngine()
+			timers := make([]*Timer, len(offs))
+			for i := range timers {
+				timers[i] = e.NewTimer("t", fn)
 			}
-			for e.Step() {
+			cycle := func() {
+				for i, d := range offs {
+					schedule(e, timers[i], d)
+				}
+				for e.Step() {
+				}
 			}
-		}
-		avg := testing.AllocsPerRun(100, func() {
-			for _, d := range offs {
-				e.AfterPooled(d, "t", fn)
+			// Warm: populate the free list and touch the calendar buckets.
+			for r := 0; r < 4; r++ {
+				cycle()
 			}
-			for e.Step() {
+			if avg := testing.AllocsPerRun(100, cycle); avg > 0 {
+				t.Errorf("%s/%s: schedule→fire cycle allocated %.2f/run, want 0", name, form, avg)
 			}
-		})
-		if avg > 0 {
-			t.Errorf("%s: pooled schedule→fire cycle allocated %.2f/run, want 0", name, avg)
 		}
 	}
 }

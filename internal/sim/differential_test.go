@@ -14,10 +14,12 @@ import (
 // (including equal-time FIFO ties, forced by coarse time quantization),
 // clock, Pending, NextSeq, Processed and QueueSnapshot. Operations cover
 // everything the production code does to a queue: schedule near (calendar
-// tier) and far (heap tier), equal-time bursts, Cancel, Remove (incl.
-// double-Remove and remove-after-fire via stale handles), Every with
-// mid-run cancel, Step, and RunUntil to barriers both between and exactly
-// on event times.
+// tier) and far (heap tier), equal-time bursts, timers Reset and Stopped
+// at random (incl. double Stop, Stop after fire and Reset from inside the
+// timer's own callback), Every with mid-run cancel, Step, and RunUntil to
+// barriers both between and exactly on event times. The reference has no
+// timers: Timer.Reset maps to its Remove of the pending handle followed by
+// After, and Timer.Stop to Remove.
 
 // diffScript is a reproducible operation sequence.
 type diffScript struct {
@@ -31,6 +33,84 @@ func (diffScript) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(s)
 }
 
+// diffTimer is one Timer on the engine side and its emulation on the
+// reference side: the handle of the reference's pending firing.
+type diffTimer struct {
+	eng  *Timer
+	ref  *RefEvent
+	fire func() // the reference side's callback
+}
+
+// diffTimers builds matched timer pairs over eng and ref, logging each
+// firing to engLog/refLog.
+type diffTimers struct {
+	eng            *Engine
+	ref            *ReferenceEngine
+	engLog, refLog *[]string
+	all            []*diffTimer
+}
+
+// add creates a timer pair. When rearm > 0 the timer Resets itself from
+// inside its callback that many times, rearm µs later each time.
+func (d *diffTimers) add(tag string, rearm int) *diffTimer {
+	dt := &diffTimer{}
+	engLeft, refLeft := rearm, rearm
+	dt.eng = d.eng.NewTimer(tag, func() {
+		*d.engLog = append(*d.engLog, fmt.Sprintf("%s@%d", tag, d.eng.Now()))
+		if engLeft > 0 {
+			engLeft--
+			dt.eng.Reset(Time(rearm) * Microsecond)
+		}
+	})
+	dt.fire = func() {
+		*d.refLog = append(*d.refLog, fmt.Sprintf("%s@%d", tag, d.ref.Now()))
+		if refLeft > 0 {
+			refLeft--
+			dt.ref = d.ref.After(Time(rearm)*Microsecond, tag, dt.fire)
+		}
+	}
+	d.all = append(d.all, dt)
+	return dt
+}
+
+func (d *diffTimers) reset(dt *diffTimer, delay Time) {
+	dt.eng.Reset(delay)
+	d.ref.Remove(dt.ref)
+	dt.ref = d.ref.After(delay, dt.eng.name, dt.fire)
+}
+
+func (d *diffTimers) stop(dt *diffTimer) {
+	dt.eng.Stop()
+	d.ref.Remove(dt.ref)
+}
+
+// pick returns a random timer pair, or nil when there is none.
+func (d *diffTimers) pick(rng *rand.Rand) *diffTimer {
+	if len(d.all) == 0 {
+		return nil
+	}
+	return d.all[rng.Intn(len(d.all))]
+}
+
+// sameState reports whether the two engines agree on clock, Pending,
+// NextSeq and QueueSnapshot.
+func sameState(eng *Engine, ref *ReferenceEngine) error {
+	if eng.Now() != ref.Now() || eng.Pending() != ref.Pending() || eng.NextSeq() != ref.NextSeq() {
+		return fmt.Errorf("now %d vs %d, pending %d vs %d, nextSeq %d vs %d",
+			eng.Now(), ref.Now(), eng.Pending(), ref.Pending(), eng.NextSeq(), ref.NextSeq())
+	}
+	got, want := eng.QueueSnapshot(), ref.QueueSnapshot()
+	if len(got) != len(want) {
+		return fmt.Errorf("snapshot length %d, reference %d", len(got), len(want))
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			return fmt.Errorf("snapshot entry %d: %+v vs reference %+v", k, got[k], want[k])
+		}
+	}
+	return nil
+}
+
 func runDifferential(t *testing.T, s diffScript) bool {
 	t.Helper()
 	rng := rand.New(rand.NewSource(s.seed))
@@ -39,48 +119,53 @@ func runDifferential(t *testing.T, s diffScript) bool {
 	ref := NewReferenceEngine()
 
 	var engLog, refLog []string
-	// Live handles for cancel/remove ops. Slots are kept after firing so
-	// the script also exercises stale-handle Remove (must be a no-op on
-	// both sides).
-	var engEvs []*Event
-	var refEvs []*RefEvent
+	timers := &diffTimers{eng: eng, ref: ref, engLog: &engLog, refLog: &refLog}
 	var engCancels, refCancels []func()
 
 	fire := func(log *[]string, tag string, at func() Time) func() {
 		return func() { *log = append(*log, fmt.Sprintf("%s@%d", tag, at())) }
 	}
+	// delay draws a near (calendar tier, quantized to 10µs so equal-time
+	// FIFO ties are common) or, one time in four, far (heap tier) delay.
+	delay := func() Time {
+		if rng.Intn(4) == 0 {
+			return Time(34+rng.Intn(200)) * Millisecond
+		}
+		return Time(rng.Intn(64)) * 10 * Microsecond
+	}
 
 	for i := 0; i < s.ops; i++ {
-		switch op := rng.Intn(10); op {
-		case 0, 1, 2: // schedule near: inside the calendar window
-			// Quantize to 10µs so equal-time FIFO ties are common.
+		switch op := rng.Intn(11); op {
+		case 0, 1: // schedule near: inside the calendar window
 			d := Time(rng.Intn(64)) * 10 * Microsecond
 			tag := fmt.Sprintf("n%d", i)
-			engEvs = append(engEvs, eng.After(d, tag, fire(&engLog, tag, eng.Now)))
-			refEvs = append(refEvs, ref.After(d, tag, fire(&refLog, tag, ref.Now)))
-		case 3: // schedule far: beyond the ~33ms window, lands in the heap
-			d := Time(34+rng.Intn(200)) * Millisecond
+			eng.After(d, tag, fire(&engLog, tag, eng.Now))
+			ref.After(d, tag, fire(&refLog, tag, ref.Now))
+		case 2: // schedule far, by absolute time: lands in the heap
+			at := eng.Now() + Time(34+rng.Intn(200))*Millisecond
 			tag := fmt.Sprintf("f%d", i)
-			engEvs = append(engEvs, eng.After(d, tag, fire(&engLog, tag, eng.Now)))
-			refEvs = append(refEvs, ref.After(d, tag, fire(&refLog, tag, ref.Now)))
-		case 4: // equal-time burst: FIFO tie-break must hold
+			eng.At(at, tag, fire(&engLog, tag, eng.Now))
+			ref.At(at, tag, fire(&refLog, tag, ref.Now))
+		case 3: // equal-time burst: FIFO tie-break must hold
 			d := Time(rng.Intn(32)) * 10 * Microsecond
 			for j := 0; j < 3; j++ {
 				tag := fmt.Sprintf("b%d.%d", i, j)
-				engEvs = append(engEvs, eng.After(d, tag, fire(&engLog, tag, eng.Now)))
-				refEvs = append(refEvs, ref.After(d, tag, fire(&refLog, tag, ref.Now)))
+				eng.After(d, tag, fire(&engLog, tag, eng.Now))
+				ref.After(d, tag, fire(&refLog, tag, ref.Now))
 			}
-		case 5: // cancel a random handle (maybe already fired)
-			if len(engEvs) > 0 {
-				k := rng.Intn(len(engEvs))
-				engEvs[k].Cancel()
-				refEvs[k].Cancel()
+		case 4: // new timer, sometimes self-resetting from its callback
+			rearm := 0
+			if rng.Intn(3) == 0 {
+				rearm = 1 + rng.Intn(3)
 			}
-		case 6: // remove a random handle (maybe already fired or removed)
-			if len(engEvs) > 0 {
-				k := rng.Intn(len(engEvs))
-				eng.Remove(engEvs[k])
-				ref.Remove(refEvs[k])
+			timers.reset(timers.add(fmt.Sprintf("t%d", i), rearm), delay())
+		case 5: // Reset a random timer (pending, fired or stopped)
+			if dt := timers.pick(rng); dt != nil {
+				timers.reset(dt, delay())
+			}
+		case 6: // Stop a random timer (maybe already fired or stopped)
+			if dt := timers.pick(rng); dt != nil {
+				timers.stop(dt)
 			}
 		case 7: // periodic tick, sometimes near-period, sometimes long
 			period := Time(1+rng.Intn(8)) * 100 * Microsecond
@@ -97,7 +182,7 @@ func runDifferential(t *testing.T, s diffScript) bool {
 				engCancels[k]()
 				refCancels[k]()
 			}
-		case 9: // advance: Step a few, or RunUntil a barrier
+		case 9, 10: // advance: Step a few, or RunUntil a barrier
 			if rng.Intn(2) == 0 {
 				n := 1 + rng.Intn(4)
 				for j := 0; j < n; j++ {
@@ -119,9 +204,8 @@ func runDifferential(t *testing.T, s diffScript) bool {
 				ref.RunUntil(ref.Now() + d)
 			}
 		}
-		if eng.Now() != ref.Now() || eng.Pending() != ref.Pending() {
-			t.Errorf("seed %d op %d: now %d vs %d, pending %d vs %d",
-				s.seed, i, eng.Now(), ref.Now(), eng.Pending(), ref.Pending())
+		if err := sameState(eng, ref); err != nil {
+			t.Errorf("seed %d op %d: %v", s.seed, i, err)
 			return false
 		}
 	}
@@ -137,11 +221,8 @@ func runDifferential(t *testing.T, s diffScript) bool {
 	for ref.Step() {
 	}
 
-	if eng.Now() != ref.Now() || eng.Pending() != ref.Pending() ||
-		eng.NextSeq() != ref.NextSeq() || eng.Processed != ref.Processed {
-		t.Errorf("seed %d: final state diverged: now %d/%d pending %d/%d nextSeq %d/%d processed %d/%d",
-			s.seed, eng.Now(), ref.Now(), eng.Pending(), ref.Pending(),
-			eng.NextSeq(), ref.NextSeq(), eng.Processed, ref.Processed)
+	if err := sameState(eng, ref); err != nil || eng.Processed != ref.Processed {
+		t.Errorf("seed %d: final state diverged: %v; processed %d/%d", s.seed, err, eng.Processed, ref.Processed)
 		return false
 	}
 	if len(engLog) != len(refLog) {
@@ -170,53 +251,44 @@ func TestQueueDifferential(t *testing.T) {
 	}
 }
 
-// TestQueueDifferentialSnapshots interleaves QueueSnapshot comparisons:
-// the serialized queue identity (what internal/ckpt captures) must match
-// the reference at every point, proving checkpoint fingerprints survive
-// the queue swap unchanged.
+// TestQueueDifferentialSnapshots interleaves QueueSnapshot comparisons on
+// a long timer-heavy script: the serialized queue identity (what
+// internal/ckpt captures) must match the reference at every point,
+// proving checkpoint fingerprints survive the queue swap unchanged.
 func TestQueueDifferentialSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	eng := NewEngine()
 	ref := NewReferenceEngine()
-	var engEvs []*Event
-	var refEvs []*RefEvent
+	var engLog, refLog []string
+	timers := &diffTimers{eng: eng, ref: ref, engLog: &engLog, refLog: &refLog}
 	for i := 0; i < 400; i++ {
 		switch rng.Intn(6) {
 		case 0, 1:
 			d := Time(rng.Intn(48)) * 10 * Microsecond
 			tag := fmt.Sprintf("s%d", i)
-			engEvs = append(engEvs, eng.After(d, tag, func() {}))
-			refEvs = append(refEvs, ref.After(d, tag, func() {}))
+			eng.After(d, tag, func() {})
+			ref.After(d, tag, func() {})
 		case 2:
 			d := Time(35+rng.Intn(100)) * Millisecond
-			tag := fmt.Sprintf("sf%d", i)
-			engEvs = append(engEvs, eng.After(d, tag, func() {}))
-			refEvs = append(refEvs, ref.After(d, tag, func() {}))
+			timers.reset(timers.add(fmt.Sprintf("sf%d", i), 0), d)
 		case 3:
-			if len(engEvs) > 0 {
-				k := rng.Intn(len(engEvs))
-				engEvs[k].Cancel()
-				refEvs[k].Cancel()
+			if dt := timers.pick(rng); dt != nil {
+				timers.reset(dt, Time(rng.Intn(48))*10*Microsecond)
 			}
 		case 4:
-			if len(engEvs) > 0 {
-				k := rng.Intn(len(engEvs))
-				eng.Remove(engEvs[k])
-				ref.Remove(refEvs[k])
+			if dt := timers.pick(rng); dt != nil {
+				timers.stop(dt)
 			}
 		case 5:
 			d := Time(rng.Intn(32)) * 10 * Microsecond
 			eng.RunUntil(eng.Now() + d)
 			ref.RunUntil(ref.Now() + d)
 		}
-		got, want := eng.QueueSnapshot(), ref.QueueSnapshot()
-		if len(got) != len(want) {
-			t.Fatalf("op %d: snapshot length %d, reference %d", i, len(got), len(want))
+		if err := sameState(eng, ref); err != nil {
+			t.Fatalf("op %d: %v", i, err)
 		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("op %d entry %d: %+v vs reference %+v", i, k, got[k], want[k])
-			}
-		}
+	}
+	if fmt.Sprint(engLog) != fmt.Sprint(refLog) {
+		t.Fatalf("fired logs diverged:\n%v\nreference:\n%v", engLog, refLog)
 	}
 }

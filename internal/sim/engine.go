@@ -5,45 +5,35 @@ import (
 	"sort"
 )
 
-// Event is a scheduled callback. Events with equal times fire in the order
+// event is a scheduled callback. Events with equal times fire in the order
 // they were scheduled (FIFO tie-break by sequence number), which keeps runs
 // fully deterministic.
-type Event struct {
-	At   Time
-	Do   func()
-	Name string // optional label for tracing
+//
+// The engine owns every event: no caller ever holds one, so each is
+// recycled onto the queue's free list once it leaves the queue — after
+// it fires, or, for a stopped Timer, when it surfaces as garbage.
+type event struct {
+	at   Time
+	seq  uint64
+	name string // label for queue snapshots
 
-	// Argument-carrying form: doArg(arg) fires instead of Do when Do is
-	// nil. Lets callers schedule with a long-lived closure and a per-event
+	// do fires when set; otherwise doArg(arg) does. The argument form
+	// lets callers schedule with a long-lived closure and a per-event
 	// payload, so the hot path allocates neither closure nor event.
+	do    func()
 	doArg func(any)
 	arg   any
 
-	seq      uint64
-	canceled bool
-	removed  bool // lazily deleted by Remove; discarded when it surfaces
-	queued   bool // currently in the queue (either tier)
-	pooled   bool // recycled onto the engine free list after firing
+	removed bool // stopped while queued; discarded when it surfaces
 }
 
-func (e *Event) fire() {
-	if e.Do != nil {
-		e.Do()
+func (ev *event) fire() {
+	if ev.do != nil {
+		ev.do()
 		return
 	}
-	e.doArg(e.arg)
+	ev.doArg(ev.arg)
 }
-
-// Cancel marks the event so it will not fire. Safe to call multiple times
-// and after the event has fired (no-op).
-func (e *Event) Cancel() {
-	if e != nil {
-		e.canceled = true
-	}
-}
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e != nil && e.canceled }
 
 // Engine is the discrete-event simulation core. It is not safe for
 // concurrent use: simulated entities are single-threaded by design, matching
@@ -51,19 +41,12 @@ func (e *Event) Canceled() bool { return e != nil && e.canceled }
 //
 // Pending events live in a two-tier calendar/4-ary-heap queue (queue.go):
 // near-future events in ring buckets, far-future events in a specialized
-// heap, popped in exact (At, seq) order either way.
+// heap, popped in exact (at, seq) order either way.
 type Engine struct {
 	now     Time
 	q       calQueue
 	nextSeq uint64
 	stopped bool
-
-	// free holds fired pooled events for reuse. Only events scheduled via
-	// the *Pooled variants land here: those return no handle, so no caller
-	// can observe a recycled event through a stale pointer. Handle-returning
-	// At/After events are never recycled — Cancel/Remove after fire must
-	// stay a safe no-op.
-	free []*Event
 
 	// Processed counts events executed so far (observability).
 	Processed uint64
@@ -77,182 +60,131 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// At schedules fn to run at absolute time at. Scheduling in the past (before
-// Now) panics: it would silently reorder causality.
-func (e *Engine) At(at Time, name string, fn func()) *Event {
+// push queues a recycled event for fn (or fnArg(arg)) at absolute time at.
+// Scheduling in the past (before Now) panics: it would silently reorder
+// causality.
+func (e *Engine) push(at Time, name string, fn func(), fnArg func(any), arg any) *event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event %q at %v before now %v", name, at, e.now))
 	}
-	ev := &Event{At: at, Do: fn, Name: name, seq: e.nextSeq}
+	ev := e.q.get()
+	*ev = event{at: at, seq: e.nextSeq, name: name, do: fn, doArg: fnArg, arg: arg}
 	e.nextSeq++
 	e.q.push(ev, e.now)
 	return ev
 }
 
-// Rearm re-queues an already-fired event at absolute time at, reusing the
-// struct. Intended for self-rescheduling periodic callbacks (Every) that
-// hold their own handle; the event must not currently be queued.
-func (e *Engine) rearm(ev *Event, at Time) {
-	e.push(ev, at, ev.Name)
+// At schedules fn to run at absolute time at.
+func (e *Engine) At(at Time, name string, fn func()) {
+	e.push(at, name, fn, nil, nil)
 }
 
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, name string, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, name, fn)
+// After schedules fn to run d after the current time (a negative d means
+// now).
+func (e *Engine) After(d Time, name string, fn func()) {
+	e.push(e.now+max(d, 0), name, fn, nil, nil)
 }
 
-// getFree returns a recycled event or a fresh one.
-func (e *Engine) getFree() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &Event{}
+// AfterPooled is After. It remains only because the benchmark module's
+// engine probe (bench/probes.go) calls it by this name.
+func (e *Engine) AfterPooled(d Time, name string, fn func()) { e.After(d, name, fn) }
+
+// AtArg schedules fn(arg) at absolute time at. With a long-lived fn (e.g.
+// one per link) the schedule allocates nothing: no closure, no event.
+func (e *Engine) AtArg(at Time, name string, fn func(any), arg any) {
+	e.push(at, name, nil, fn, arg)
 }
 
-// push (re)initializes ev and queues it.
-func (e *Engine) push(ev *Event, at Time, name string) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event %q at %v before now %v", name, at, e.now))
-	}
-	ev.At = at
-	ev.Name = name
-	ev.seq = e.nextSeq
-	ev.canceled = false
-	e.nextSeq++
-	e.q.push(ev, e.now)
+// AfterArg schedules fn(arg) to run d after the current time. See AtArg.
+func (e *Engine) AfterArg(d Time, name string, fn func(any), arg any) {
+	e.push(e.now+max(d, 0), name, nil, fn, arg)
 }
 
-// AfterPooled schedules fn to run d after the current time, recycling the
-// event struct after it fires. No handle is returned: pooled events cannot
-// be canceled, which is exactly what makes recycling safe (no stale *Event
-// can reach a reused event). Semantics (ordering, FIFO tie-break) match
-// After.
-func (e *Engine) AfterPooled(d Time, name string, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	ev := e.getFree()
-	ev.Do = fn
-	ev.doArg = nil
-	ev.arg = nil
-	ev.pooled = true
-	e.push(ev, e.now+d, name)
+// Timer is a cancellable one-shot callback, and the engine's only way to
+// cancel anything. At most one firing is pending at a time.
+type Timer struct {
+	e    *Engine
+	name string
+	fn   func()
+	ev   *event // the pending firing; nil when idle
 }
 
-// AtArgPooled schedules fn(arg) at absolute time at on a recycled event.
-// With a long-lived fn (e.g. one per link) the schedule allocates nothing:
-// no closure, no event. See AfterPooled for the no-cancel contract.
-func (e *Engine) AtArgPooled(at Time, name string, fn func(any), arg any) {
-	ev := e.getFree()
-	ev.Do = nil
-	ev.doArg = fn
-	ev.arg = arg
-	ev.pooled = true
-	e.push(ev, at, name)
+// NewTimer returns an idle timer that runs fn each time it fires.
+func (e *Engine) NewTimer(name string, fn func()) *Timer {
+	return &Timer{e: e, name: name, fn: fn}
 }
 
-// AfterArgPooled schedules fn(arg) to run d after the current time on a
-// recycled event. See AtArgPooled.
-func (e *Engine) AfterArgPooled(d Time, name string, fn func(any), arg any) {
-	if d < 0 {
-		d = 0
-	}
-	e.AtArgPooled(e.now+d, name, fn, arg)
+// timerFire is every timer event's callback: the timer goes idle before
+// fn runs, so fn may Reset it.
+func timerFire(arg any) {
+	t := arg.(*Timer)
+	t.ev = nil
+	t.fn()
 }
 
-// recycle clears a fired pooled event and returns it to the free list.
-// Clearing drops closure/arg references so the pool never pins payloads.
-func (e *Engine) recycle(ev *Event) {
-	ev.Do = nil
-	ev.doArg = nil
-	ev.arg = nil
-	ev.Name = ""
-	e.free = append(e.free, ev)
+// Reset stops any pending firing and schedules a new one d after the
+// current time (a negative d means now). The new firing takes a fresh
+// sequence number, exactly as a new After would.
+func (t *Timer) Reset(d Time) {
+	t.Stop()
+	t.ev = t.e.push(t.e.now+max(d, 0), t.name, nil, timerFire, t)
 }
 
-// Remove cancels ev and deletes it from the queue immediately: Pending
-// drops at once and the event can never fire. Deletion is lazy — the
-// struct stays in its tier until it surfaces at a pop and is discarded —
-// but that is unobservable: Pending counts it out now, QueueSnapshot
-// skips it, and the discard never advances the clock. Cancel alone leaves
-// the event counted until its fire time — harmless for one-shots, but a
-// canceled far-future or periodic event would otherwise linger as queue
-// garbage (and keep Pending nonzero). Safe on nil and on events that
-// already fired or were already removed.
-func (e *Engine) Remove(ev *Event) {
-	if ev == nil {
-		return
-	}
-	ev.canceled = true
-	if ev.queued && !ev.removed {
-		ev.removed = true
-		e.q.live--
+// Stop deletes the pending firing, if any, from the schedule at once:
+// Pending drops, QueueSnapshot no longer lists it, and it can never fire.
+// The event itself stays in its tier until it surfaces at a pop, where
+// it is discarded without advancing the clock and recycled. Stop on an
+// idle timer (never set, already fired or already stopped) is a no-op.
+func (t *Timer) Stop() {
+	if t.ev != nil {
+		t.ev.removed = true
+		t.e.q.live--
+		t.ev = nil
 	}
 }
 
 // Every schedules fn to run every period, with the first firing delay
 // after the current time. It returns a cancel function that stops future
-// firings. fn observes the engine clock.
+// firings, also when called from within fn. fn observes the engine clock.
 func (e *Engine) Every(delay, period Time, name string, fn func()) (cancel func()) {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	if delay < 0 {
-		delay = 0
-	}
 	stopped := false
-	var tick func()
-	var pending *Event
-	tick = func() {
-		if stopped {
-			return
-		}
+	var t *Timer
+	t = e.NewTimer(name, func() {
 		fn()
 		if !stopped { // fn may have canceled us
-			// Reuse the same event for every tick: it has already fired
-			// (popped from the queue), and the only outstanding handle is
-			// ours, so re-queueing it cannot confuse any caller.
-			e.rearm(pending, e.now+period)
+			t.Reset(period)
 		}
-	}
-	pending = e.At(e.now+delay, name, tick)
+	})
+	t.Reset(delay)
 	return func() {
 		stopped = true
-		e.Remove(pending)
+		t.Stop()
 	}
 }
 
 // Step executes the next pending event. It returns false when the queue is
 // empty or the engine is stopped.
 func (e *Engine) Step() bool {
-	for {
-		if e.stopped {
-			return false
-		}
-		ev := e.q.pop(e.now)
-		if ev == nil {
-			return false
-		}
-		if ev.canceled {
-			if ev.pooled {
-				e.recycle(ev)
-			}
-			continue
-		}
-		e.now = ev.At
-		e.Processed++
-		ev.fire()
-		if ev.pooled {
-			e.recycle(ev)
-		}
-		return true
+	if e.stopped {
+		return false
 	}
+	ev := e.q.pop(e.now)
+	if ev == nil {
+		return false
+	}
+	e.run(ev)
+	return true
+}
+
+// run advances the clock to a popped event, fires it and recycles it.
+func (e *Engine) run(ev *event) {
+	e.now = ev.at
+	e.Processed++
+	ev.fire()
+	e.q.put(ev)
 }
 
 // RunUntil executes events until the clock would pass deadline or the queue
@@ -261,26 +193,11 @@ func (e *Engine) Step() bool {
 func (e *Engine) RunUntil(deadline Time) {
 	for !e.stopped {
 		next := e.q.peek(e.now)
-		if next == nil {
-			break
-		}
-		if next.canceled {
-			e.q.pop(e.now)
-			if next.pooled {
-				e.recycle(next)
-			}
-			continue
-		}
-		if next.At > deadline {
+		if next == nil || next.at > deadline {
 			break
 		}
 		e.q.pop(e.now)
-		e.now = next.At
-		e.Processed++
-		next.fire()
-		if next.pooled {
-			e.recycle(next)
-		}
+		e.run(next)
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -299,8 +216,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// Pending returns the number of queued events (Canceled-but-not-Removed
-// events still count until their fire time).
+// Pending returns the number of queued events that can still fire.
 func (e *Engine) Pending() int { return e.q.live }
 
 // NextSeq returns the sequence number the next scheduled event will get.
@@ -311,23 +227,21 @@ func (e *Engine) Pending() int { return e.q.live }
 func (e *Engine) NextSeq() uint64 { return e.nextSeq }
 
 // QueuedEvent is one pending event's serializable identity: its fire
-// time, FIFO tie-break sequence, label and cancel flag. The callback
-// itself is a closure and deliberately not part of the identity — restore
+// time, FIFO tie-break sequence and label. The callback itself is a
+// closure and deliberately not part of the identity — restore
 // reconstructs closures by deterministic re-execution (internal/ckpt),
 // and the (At, Seq, Name) triple is what proves the reconstruction
 // reached the same schedule.
 type QueuedEvent struct {
-	At       Time
-	Seq      uint64
-	Name     string
-	Canceled bool
+	At   Time
+	Seq  uint64
+	Name string
 }
 
 // QueueSnapshot returns the pending events in canonical (At, Seq) order.
 // The tiers are only partially ordered, so the snapshot sorts a copy; the
-// engine's queue is not disturbed. Lazily-removed events are excluded —
-// they are no longer part of the schedule's identity, exactly as they
-// were absent from the seed's eagerly-deleted heap.
+// engine's queue is not disturbed. Stopped timers' events are excluded —
+// they are no longer part of the schedule's identity.
 func (e *Engine) QueueSnapshot() []QueuedEvent {
 	out := e.q.snapshot(make([]QueuedEvent, 0, e.q.live))
 	sort.Slice(out, func(i, j int) bool {

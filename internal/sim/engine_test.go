@@ -62,15 +62,21 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	ev := e.At(10, "x", func() { fired = true })
-	ev.Cancel()
+	fired := 0
+	tm := e.NewTimer("x", func() { fired++ })
+	tm.Reset(10)
+	tm.Stop()
 	e.Run()
-	if fired {
-		t.Fatal("canceled event fired")
+	if fired != 0 {
+		t.Fatal("stopped timer fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	// The stopped firing never advanced the clock. A stopped timer can be
+	// set again, and a second Reset replaces the first.
+	tm.Reset(10)
+	tm.Reset(20)
+	e.Run()
+	if fired != 1 || e.Now() != 20 {
+		t.Fatalf("re-set timer fired %d times, clock %v; want once at 20", fired, e.Now())
 	}
 }
 

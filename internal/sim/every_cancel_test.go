@@ -51,8 +51,8 @@ func TestEveryCancelStopsTickEvents(t *testing.T) {
 }
 
 // TestEveryCancelFromInsideTick cancels the clock from within its own
-// callback — the event being canceled has already fired, so Remove must
-// handle the not-queued case.
+// callback — the event being canceled has already fired, so the stop
+// must handle the idle-timer case.
 func TestEveryCancelFromInsideTick(t *testing.T) {
 	eng := sim.NewEngine()
 	n := 0
@@ -72,29 +72,31 @@ func TestEveryCancelFromInsideTick(t *testing.T) {
 	}
 }
 
-// TestRemoveSafety exercises Remove on nil, fired, and doubly-removed
-// events, and checks removal keeps the remaining schedule intact.
+// TestRemoveSafety exercises Timer.Stop on idle, fired, and doubly
+// stopped timers, and checks a stop keeps the remaining schedule intact.
 func TestRemoveSafety(t *testing.T) {
 	eng := sim.NewEngine()
-	eng.Remove(nil) // no-op
-
 	fired := false
-	a := eng.At(1*sim.Millisecond, "a", func() { fired = true })
-	b := eng.At(2*sim.Millisecond, "b", func() { t.Fatal("removed event fired") })
-	c := eng.At(3*sim.Millisecond, "c", func() {})
+	a := eng.NewTimer("a", func() { fired = true })
+	b := eng.NewTimer("b", func() { t.Fatal("stopped timer fired") })
+	c := eng.NewTimer("c", func() {})
+	c.Stop() // never set: no-op
+	a.Reset(1 * sim.Millisecond)
+	b.Reset(2 * sim.Millisecond)
+	c.Reset(3 * sim.Millisecond)
 
-	eng.Remove(b)
-	eng.Remove(b) // idempotent
+	b.Stop()
+	b.Stop() // idempotent
 	if p := eng.Pending(); p != 2 {
-		t.Fatalf("Pending() = %d after removing 1 of 3, want 2", p)
+		t.Fatalf("Pending() = %d after stopping 1 of 3, want 2", p)
 	}
 
 	eng.Run()
 	if !fired {
-		t.Fatal("surviving event a never fired")
+		t.Fatal("surviving timer a never fired")
 	}
-	eng.Remove(a) // already fired: no-op
-	eng.Remove(c)
+	a.Stop() // already fired: no-op
+	c.Stop()
 	if p := eng.Pending(); p != 0 {
 		t.Fatalf("Pending() = %d after drain, want 0", p)
 	}
@@ -132,15 +134,16 @@ func TestEveryCancelDoesNotStallBarrier(t *testing.T) {
 	}
 }
 
-// TestRemoveOnlyEventStillAdvancesBarrier removes the sole queued event
+// TestRemoveOnlyEventStillAdvancesBarrier stops the sole queued event
 // between two barriers: RunUntil on an empty queue must still advance the
 // clock to the deadline (the fleet relies on this — an idle shard parks
 // at the barrier rather than lagging the fleet clock).
 func TestRemoveOnlyEventStillAdvancesBarrier(t *testing.T) {
 	eng := sim.NewEngine()
-	ev := eng.At(3*sim.Millisecond, "only", func() { t.Fatal("removed event fired") })
+	only := eng.NewTimer("only", func() { t.Fatal("stopped timer fired") })
+	only.Reset(3 * sim.Millisecond)
 	eng.RunUntil(sim.Millisecond)
-	eng.Remove(ev)
+	only.Stop()
 	eng.RunUntil(5 * sim.Millisecond)
 	if eng.Now() != 5*sim.Millisecond {
 		t.Fatalf("empty-queue barrier left Now()=%v, want 5ms", eng.Now())

@@ -2,17 +2,17 @@ package sim
 
 import "testing"
 
-// Pooled scheduling must interleave with At/After in exact FIFO order at
-// equal timestamps, and must actually recycle event structs.
+// Every scheduling form must interleave in exact FIFO order at equal
+// timestamps, and must actually recycle event structs.
 func TestPooledOrderingMatchesAt(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	e.At(10, "a", func() { got = append(got, 0) })
-	e.AfterPooled(10, "b", func() { got = append(got, 1) })
-	e.AtArgPooled(10, "c", func(a any) { got = append(got, a.(int)) }, 2)
+	e.After(10, "b", func() { got = append(got, 1) })
+	e.AtArg(10, "c", func(a any) { got = append(got, a.(int)) }, 2)
 	e.After(10, "d", func() { got = append(got, 3) })
-	e.AfterPooled(10, "e", func() { got = append(got, 4) })
-	e.AfterArgPooled(10, "f", func(a any) { got = append(got, a.(int)) }, 5)
+	e.NewTimer("e", func() { got = append(got, 4) }).Reset(10)
+	e.AfterArg(10, "f", func(a any) { got = append(got, a.(int)) }, 5)
 	e.Run()
 	for i, v := range got {
 		if i != v {
@@ -27,23 +27,48 @@ func TestPooledOrderingMatchesAt(t *testing.T) {
 func TestPooledEventsAreRecycled(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 100; i++ {
-		e.AfterPooled(1, "tick", func() {})
+		e.After(1, "tick", func() {})
 		if !e.Step() {
 			t.Fatal("step failed")
 		}
 	}
-	if len(e.free) != 1 {
-		t.Fatalf("free list holds %d events, want 1 (same struct reused)", len(e.free))
+	if len(e.q.free) != 1 {
+		t.Fatalf("free list holds %d events, want 1 (same struct reused)", len(e.q.free))
+	}
+}
+
+// A stopped timer's event is recycled when it surfaces from the queue,
+// without firing and without advancing the clock.
+func TestStoppedTimerEventIsRecycled(t *testing.T) {
+	e := NewEngine()
+	tm := e.NewTimer("rto", func() { t.Fatal("stopped timer fired") })
+	tm.Reset(5)
+	tm.Stop()
+	if len(e.q.free) != 0 {
+		t.Fatalf("free list holds %d events before the stopped one surfaced", len(e.q.free))
+	}
+	if e.Step() {
+		t.Fatal("Step fired a stopped timer")
+	}
+	if len(e.q.free) != 1 || e.Now() != 0 {
+		t.Fatalf("after the stopped event surfaced: free %d, now %v; want 1, 0", len(e.q.free), e.Now())
 	}
 }
 
 func TestPooledRecycleClearsReferences(t *testing.T) {
 	e := NewEngine()
-	e.AtArgPooled(1, "x", func(any) {}, "payload")
+	e.AtArg(1, "x", func(any) {}, "payload")
+	tm := e.NewTimer("y", func() {})
+	tm.Reset(2)
+	tm.Stop()
 	e.Run()
-	ev := e.free[0]
-	if ev.Do != nil || ev.doArg != nil || ev.arg != nil || ev.Name != "" {
-		t.Fatalf("recycled event retains references: %+v", ev)
+	for _, ev := range e.q.free {
+		if ev.do != nil || ev.doArg != nil || ev.arg != nil || ev.name != "" || ev.removed {
+			t.Fatalf("recycled event retains references: %+v", ev)
+		}
+	}
+	if len(e.q.free) != 2 {
+		t.Fatalf("free list holds %d events, want 2", len(e.q.free))
 	}
 }
 

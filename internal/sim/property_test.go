@@ -120,33 +120,31 @@ func TestQuickEngineStableOrder(t *testing.T) {
 	}
 }
 
-// TestQuickEngineCancel: a canceled event never fires, cancellation never
-// disturbs other events, and Cancel is idempotent.
+// TestQuickEngineCancel: a stopped timer never fires, stopping never
+// disturbs other events, and Stop is idempotent.
 func TestQuickEngineCancel(t *testing.T) {
 	prop := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%30) + 2
 		r := NewRNG(seed)
 		e := NewEngine()
 		fired := make([]bool, n)
-		events := make([]*Event, n)
-		canceled := make([]bool, n)
+		timers := make([]*Timer, n)
+		stopped := make([]bool, n)
 		for i := 0; i < n; i++ {
 			idx := i
-			events[i] = e.At(Time(r.Intn(4)+1)*Millisecond, "prop", func() { fired[idx] = true })
+			timers[i] = e.NewTimer("prop", func() { fired[idx] = true })
+			timers[i].Reset(Time(r.Intn(4)+1) * Millisecond)
 		}
 		for i := 0; i < n; i++ {
 			if r.Bool(0.5) {
-				canceled[i] = true
-				events[i].Cancel()
-				events[i].Cancel() // idempotent
+				stopped[i] = true
+				timers[i].Stop()
+				timers[i].Stop() // idempotent
 			}
 		}
 		e.RunUntil(Second)
 		for i := 0; i < n; i++ {
-			if fired[i] == canceled[i] {
-				return false
-			}
-			if canceled[i] && !events[i].Canceled() {
+			if fired[i] == stopped[i] {
 				return false
 			}
 		}

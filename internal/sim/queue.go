@@ -11,25 +11,26 @@ import "math/bits"
 // the first occupied bucket is O(1); an occupancy bitmap makes "first
 // occupied bucket" a handful of word tests. Events scheduled beyond the
 // window (chaos at +2.6 s, TCP RTOs, upgrade holds) go to a backing
-// 4-ary min-heap specialized to *Event — no container/heap interface
+// 4-ary min-heap specialized to *event — no container/heap interface
 // boxing, no per-element method calls — and are merged by comparing the
 // bucket head against the heap root on every pop.
 //
-// Ordering proof sketch: every pop takes the lexicographic (At, seq)
+// Ordering proof sketch: every pop takes the lexicographic (at, seq)
 // minimum of {head of first occupied bucket, heap root}. Bucket slices
-// are fully sorted by (At, seq) (binary-insert on push), live events in
-// one bucket all share the same At>>bucketShift generation, and the
+// are fully sorted by (at, seq) (binary-insert on push), live events in
+// one bucket all share the same at>>bucketShift generation, and the
 // circular scan from the clock's own bucket visits generations in
 // increasing order, so the first occupied bucket's head is the minimum
 // across all buckets. The heap root is the minimum of the heap tier by
 // the sift invariant. Hence the queue pops the exact total order the
 // seed's single binary heap produced, including equal-time FIFO ties —
-// seq assignment in At/push is untouched.
+// seq assignment in Engine.push is untouched.
 //
-// Cancel/Remove use lazy deletion: Remove marks the event and decrements
-// the live count immediately (Pending and QueueSnapshot observe the
-// removal at once, matching the old eager heap.Remove), while the struct
-// stays in its tier until it surfaces at a head and is discarded.
+// Timer.Stop uses lazy deletion: it marks the event removed and
+// decrements the live count immediately (Pending and QueueSnapshot
+// observe the removal at once, matching an eager heap.Remove), while the
+// struct stays in its tier until it surfaces at a head, where it is
+// discarded onto the free list.
 const (
 	// bucketShift gives 65.536 µs buckets — ~7.6 per 500 µs TTI, so one
 	// slot's grid (tick, fronthaul offsets, drain) spreads over several
@@ -51,9 +52,9 @@ const (
 
 // before is the canonical scheduling order: fire time, then FIFO by
 // sequence number. It is the single comparison both tiers use.
-func before(a, b *Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
@@ -64,16 +65,35 @@ type calQueue struct {
 	// cur is the global (non-wrapped) bucket index the sweep has
 	// reached: no live event exists in any bucket generation below it.
 	cur int64
-	// live counts queued, non-removed events across both tiers —
-	// exactly the old physical heap length (canceled events count until
-	// they fire; removed events stop counting at Remove).
-	live int
-	// srcHeap marks the heap tier in min/take results.
-	heap    []*Event
+	// live counts queued, non-removed events across both tiers.
+	live    int
+	heap    []*event
 	pos     [numBuckets]int32
 	occ     [occWords]uint64
-	buckets [numBuckets][]*Event
+	buckets [numBuckets][]*event
 	inited  bool
+	// free holds events that left the queue — fired, or discarded after
+	// a Timer.Stop — ready for reuse.
+	free []*event
+}
+
+// get returns a recycled event or a fresh one.
+func (q *calQueue) get() *event {
+	if n := len(q.free); n > 0 {
+		ev := q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+		return ev
+	}
+	return &event{}
+}
+
+// put clears an event that left the queue and returns it to the free
+// list. Clearing drops closure/arg references so the pool never pins
+// payloads.
+func (q *calQueue) put(ev *event) {
+	*ev = event{}
+	q.free = append(q.free, ev)
 }
 
 // init carves every bucket's initial storage from one contiguous slab
@@ -81,7 +101,7 @@ type calQueue struct {
 // engine's whole lifetime instead of one per first-touched bucket.
 func (q *calQueue) init() {
 	q.inited = true
-	slab := make([]*Event, numBuckets*bucketCap)
+	slab := make([]*event, numBuckets*bucketCap)
 	for b := range q.buckets {
 		q.buckets[b] = slab[b*bucketCap : b*bucketCap : (b+1)*bucketCap]
 	}
@@ -92,14 +112,13 @@ func (q *calQueue) init() {
 const srcHeap = -1
 
 // push queues ev, routing by distance from the calendar window's base.
-// The caller has already (re)initialized At/seq/flags via Engine.push.
-func (q *calQueue) push(ev *Event, now Time) {
+// The caller has already initialized it via Engine.push.
+func (q *calQueue) push(ev *event, now Time) {
 	if !q.inited {
 		q.init()
 	}
-	ev.queued, ev.removed = true, false
 	q.live++
-	k := int64(ev.At) >> bucketShift
+	k := int64(ev.at) >> bucketShift
 	if nowK := int64(now) >> bucketShift; q.cur < nowK {
 		// The clock may have advanced past cur without pops (RunUntil
 		// to an idle barrier); live events never exist behind now.
@@ -143,15 +162,15 @@ func (q *calQueue) push(ev *Event, now Time) {
 	q.buckets[b] = s
 }
 
-// min returns the next event in (At, seq) order without removing it,
+// min returns the next event in (at, seq) order without removing it,
 // plus its tier (bucket ring position, or srcHeap). Removed events are
 // included — peek/pop discard them. Returns nil when both tiers are
 // empty.
-func (q *calQueue) min(now Time) (*Event, int) {
+func (q *calQueue) min(now Time) (*event, int) {
 	if nowK := int64(now) >> bucketShift; q.cur < nowK {
 		q.cur = nowK
 	}
-	var bev *Event
+	var bev *event
 	bpos := srcHeap
 	// Scan the occupancy bitmap circularly from cur's ring position;
 	// the first occupied bucket holds the calendar tier's minimum.
@@ -181,8 +200,7 @@ func (q *calQueue) min(now Time) (*Event, int) {
 
 // take physically removes the event min returned. src is min's tier
 // result; the event must still be at that head.
-func (q *calQueue) take(ev *Event, src int) {
-	ev.queued = false
+func (q *calQueue) take(ev *event, src int) {
 	if src == srcHeap {
 		q.heapPop()
 		return
@@ -200,10 +218,10 @@ func (q *calQueue) take(ev *Event, src int) {
 	q.pos[src] = int32(p)
 }
 
-// peek returns the next live-or-canceled event without removing it,
-// discarding lazily-removed garbage it surfaces on the way. Returns nil
-// when the queue is logically empty.
-func (q *calQueue) peek(now Time) *Event {
+// peek returns the next live event without removing it, recycling
+// lazily-removed garbage it surfaces on the way. Returns nil when the
+// queue is logically empty.
+func (q *calQueue) peek(now Time) *event {
 	for {
 		ev, src := q.min(now)
 		if ev == nil {
@@ -212,12 +230,13 @@ func (q *calQueue) peek(now Time) *Event {
 		if !ev.removed {
 			return ev
 		}
-		q.take(ev, src) // removed garbage: already uncounted by Remove
+		q.take(ev, src) // removed garbage: already uncounted by Stop
+		q.put(ev)
 	}
 }
 
 // pop removes and returns what peek would return.
-func (q *calQueue) pop(now Time) *Event {
+func (q *calQueue) pop(now Time) *event {
 	for {
 		ev, src := q.min(now)
 		if ev == nil {
@@ -228,14 +247,15 @@ func (q *calQueue) pop(now Time) *Event {
 			q.live--
 			return ev
 		}
+		q.put(ev)
 	}
 }
 
 // snapshot appends every queued non-removed event to out (unsorted).
 func (q *calQueue) snapshot(out []QueuedEvent) []QueuedEvent {
-	add := func(ev *Event) {
+	add := func(ev *event) {
 		if !ev.removed {
-			out = append(out, QueuedEvent{At: ev.At, Seq: ev.seq, Name: ev.Name, Canceled: ev.canceled})
+			out = append(out, QueuedEvent{At: ev.at, Seq: ev.seq, Name: ev.name})
 		}
 	}
 	for b := range q.buckets {
@@ -250,11 +270,11 @@ func (q *calQueue) snapshot(out []QueuedEvent) []QueuedEvent {
 	return out
 }
 
-// 4-ary min-heap on (At, seq). Flatter than a binary heap — half the
+// 4-ary min-heap on (at, seq). Flatter than a binary heap — half the
 // levels, so half the cache misses per sift — and every compare is a
-// direct struct-field test on *Event, no interface dispatch.
+// direct struct-field test on *event, no interface dispatch.
 
-func (q *calQueue) heapPush(ev *Event) {
+func (q *calQueue) heapPush(ev *event) {
 	h := append(q.heap, ev)
 	i := len(h) - 1
 	for i > 0 {

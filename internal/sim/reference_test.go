@@ -3,13 +3,14 @@ package sim
 import "container/heap"
 
 // ReferenceEngine is the seed's single-binary-heap discrete-event core,
-// retained verbatim (modulo the rename) as the behavioral reference for
-// the two-tier calendar/4-ary queue in queue.go — the same pattern as
-// fec/reference_test.go and fronthaul/bfp_reference_test.go: the slow,
-// obviously correct implementation stays in the tree and randomized
-// differential tests pin the fast path to it. It intentionally keeps the eager
-// heap.Remove and interface-boxed container/heap machinery the optimized
-// engine replaced.
+// retained (modulo the rename and the retired cancel flag) as the
+// behavioral reference for the two-tier calendar/4-ary queue in queue.go —
+// the same pattern as fec/reference_test.go and
+// fronthaul/bfp_reference_test.go: the slow, obviously correct
+// implementation stays in the tree and randomized differential tests pin
+// the fast path to it. It intentionally keeps the eager heap.Remove,
+// handle-returning At/After and interface-boxed container/heap machinery
+// the optimized engine replaced.
 //
 // It lives in a test file, so no production path can reach it.
 type ReferenceEngine struct {
@@ -22,12 +23,11 @@ type ReferenceEngine struct {
 }
 
 type refEvent struct {
-	At       Time
-	Do       func()
-	Name     string
-	seq      uint64
-	index    int
-	canceled bool
+	At    Time
+	Do    func()
+	Name  string
+	seq   uint64
+	index int
 }
 
 type refHeap []*refEvent
@@ -70,13 +70,6 @@ func (e *ReferenceEngine) Now() Time { return e.now }
 // RefEvent is an opaque handle to a scheduled reference event.
 type RefEvent = refEvent
 
-// Cancel marks the event so it will not fire.
-func (e *refEvent) Cancel() {
-	if e != nil {
-		e.canceled = true
-	}
-}
-
 // At schedules fn at absolute time at (panics when at < Now, like Engine).
 func (e *ReferenceEngine) At(at Time, name string, fn func()) *RefEvent {
 	if at < e.now {
@@ -96,33 +89,19 @@ func (e *ReferenceEngine) After(d Time, name string, fn func()) *RefEvent {
 	return e.At(e.now+d, name, fn)
 }
 
-// Remove cancels ev and eagerly deletes it from the heap (the seed
-// semantics the optimized engine's lazy deletion must be indistinguishable
-// from).
+// Remove eagerly deletes ev from the heap (the seed semantics the
+// optimized engine's lazy Timer.Stop must be indistinguishable from). A
+// fired or already removed event is left alone.
 func (e *ReferenceEngine) Remove(ev *RefEvent) {
 	if ev == nil {
 		return
 	}
-	ev.canceled = true
 	if ev.index >= 0 && ev.index < len(e.queue) && e.queue[ev.index] == ev {
 		heap.Remove(&e.queue, ev.index)
 	}
 }
 
-// Rearm re-queues an already-fired event at absolute time at, reusing the
-// struct (the Every tick pattern).
-func (e *ReferenceEngine) Rearm(ev *RefEvent, at Time) {
-	if at < e.now {
-		panic("sim: reference rearm before now")
-	}
-	ev.At = at
-	ev.seq = e.nextSeq
-	ev.canceled = false
-	e.nextSeq++
-	heap.Push(&e.queue, ev)
-}
-
-// Every mirrors Engine.Every: a self-rearming tick on a single event.
+// Every mirrors Engine.Every: each tick schedules the next one after fn.
 func (e *ReferenceEngine) Every(delay, period Time, name string, fn func()) (cancel func()) {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
@@ -139,7 +118,7 @@ func (e *ReferenceEngine) Every(delay, period Time, name string, fn func()) (can
 		}
 		fn()
 		if !stopped {
-			e.Rearm(pending, e.now+period)
+			pending = e.After(period, name, tick)
 		}
 	}
 	pending = e.At(e.now+delay, name, tick)
@@ -151,19 +130,14 @@ func (e *ReferenceEngine) Every(delay, period Time, name string, fn func()) (can
 
 // Step executes the next pending event.
 func (e *ReferenceEngine) Step() bool {
-	for {
-		if e.stopped || e.queue.Len() == 0 {
-			return false
-		}
-		ev := heap.Pop(&e.queue).(*refEvent)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.At
-		e.Processed++
-		ev.Do()
-		return true
+	if e.stopped || e.queue.Len() == 0 {
+		return false
 	}
+	ev := heap.Pop(&e.queue).(*refEvent)
+	e.now = ev.At
+	e.Processed++
+	ev.Do()
+	return true
 }
 
 // RunUntil executes events until the clock would pass deadline.
@@ -173,10 +147,6 @@ func (e *ReferenceEngine) RunUntil(deadline Time) {
 			break
 		}
 		next := e.queue[0]
-		if next.canceled {
-			heap.Pop(&e.queue)
-			continue
-		}
 		if next.At > deadline {
 			break
 		}
@@ -190,8 +160,7 @@ func (e *ReferenceEngine) RunUntil(deadline Time) {
 	}
 }
 
-// Pending returns the physical queue length (canceled-but-not-removed
-// events count until their fire time).
+// Pending returns the queue length.
 func (e *ReferenceEngine) Pending() int { return e.queue.Len() }
 
 // NextSeq returns the next sequence number to be assigned.
@@ -201,7 +170,7 @@ func (e *ReferenceEngine) NextSeq() uint64 { return e.nextSeq }
 func (e *ReferenceEngine) QueueSnapshot() []QueuedEvent {
 	out := make([]QueuedEvent, 0, len(e.queue))
 	for _, ev := range e.queue {
-		out = append(out, QueuedEvent{At: ev.At, Seq: ev.seq, Name: ev.Name, Canceled: ev.canceled})
+		out = append(out, QueuedEvent{At: ev.At, Seq: ev.seq, Name: ev.Name})
 	}
 	sortQueued(out)
 	return out

@@ -257,7 +257,7 @@ func (s *Switch) armDeadline(phy uint8) {
 		return
 	}
 	d.pending = true
-	s.Engine.AtArgPooled(s.detectionTime(d), "switch.timer", s.deadlineFn, int(phy))
+	s.Engine.AtArg(s.detectionTime(d), "switch.timer", s.deadlineFn, int(phy))
 }
 
 // onDetectorDeadline fires when a PHY's emulated counter would reach
@@ -273,7 +273,7 @@ func (s *Switch) onDetectorDeadline(arg any) {
 	}
 	if at := s.detectionTime(d); s.Engine.Now() < at {
 		d.pending = true
-		s.Engine.AtArgPooled(at, "switch.timer", s.deadlineFn, int(phy))
+		s.Engine.AtArg(at, "switch.timer", s.deadlineFn, int(phy))
 		return
 	}
 	d.fired = true

@@ -62,7 +62,7 @@ func ulPacket(slot uint64) *netmodel.Frame {
 	pkt := fronthaul.NewControl(0, 0, fronthaul.Uplink, fronthaul.SlotFromCounter(slot), 0)
 	return &netmodel.Frame{
 		Src: netmodel.RUAddr(0), Dst: netmodel.VirtualPHYAddr(0),
-		Type: netmodel.EtherTypeECPRI, Payload: pkt.Serialize(),
+		Type: netmodel.EtherTypeECPRI, Payload: pkt.SerializePooled(),
 	}
 }
 
@@ -70,7 +70,7 @@ func dlPacket(srcPHY netmodel.Addr, slot uint64) *netmodel.Frame {
 	pkt := fronthaul.NewControl(0, 0, fronthaul.Downlink, fronthaul.SlotFromCounter(slot), 0)
 	return &netmodel.Frame{
 		Src: srcPHY, Dst: netmodel.RUAddr(0),
-		Type: netmodel.EtherTypeECPRI, Payload: pkt.Serialize(),
+		Type: netmodel.EtherTypeECPRI, Payload: pkt.SerializePooled(),
 	}
 }
 

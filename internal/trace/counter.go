@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"slingshot/internal/ckpt/wire"
 )
 
 // Counter is a monotonic per-deployment event counter. A nil counter is
@@ -171,13 +173,7 @@ func (r *Registry) Exposition() string {
 // and the slingshotd /metrics endpoint use it as a compact identity for
 // "these two metric sets are byte-identical".
 func (r *Registry) Fingerprint() uint64 {
-	const offset, prime = 0xcbf29ce484222325, 0x100000001b3
-	h := uint64(offset)
-	for _, c := range []byte(r.Exposition()) {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
+	return wire.Hash64([]byte(r.Exposition()))
 }
 
 // MergeFrom folds another registry into this one: counters accumulate and

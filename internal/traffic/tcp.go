@@ -50,7 +50,7 @@ type TCPSender struct {
 	srtt, rttvar sim.Time
 	rto          sim.Time
 	rtoBackoff   int
-	timer        *sim.Event
+	timer        *sim.Timer // retransmission timeout
 	// tsSent maps in-flight segment -> first-send time (for RTT samples;
 	// Karn's rule: only time un-retransmitted segments).
 	tsSent   map[uint64]sim.Time
@@ -77,7 +77,7 @@ func NewTCPSender(e *sim.Engine, cfg TCPConfig, send SendFunc) *TCPSender {
 	if cfg.MaxCwnd == 0 {
 		cfg.MaxCwnd = 512
 	}
-	return &TCPSender{
+	t := &TCPSender{
 		Cfg:      cfg,
 		Engine:   e,
 		Send:     send,
@@ -87,6 +87,8 @@ func NewTCPSender(e *sim.Engine, cfg TCPConfig, send SendFunc) *TCPSender {
 		tsSent:   make(map[uint64]sim.Time),
 		retxMark: make(map[uint64]bool),
 	}
+	t.timer = e.NewTimer("tcp.rto", t.onTimeout)
+	return t
 }
 
 // Start opens the flow (no handshake modeled; iperf's is negligible).
@@ -121,17 +123,15 @@ func (t *TCPSender) transmit(seq uint64, isRetx bool) {
 }
 
 func (t *TCPSender) armTimer() {
-	if t.timer != nil {
-		t.timer.Cancel()
-	}
 	if t.InFlight() == 0 {
+		t.timer.Stop()
 		return
 	}
 	backoff := t.rto << t.rtoBackoff
 	if backoff > 60*sim.Second {
 		backoff = 60 * sim.Second
 	}
-	t.timer = t.Engine.After(backoff, "tcp.rto", t.onTimeout)
+	t.timer.Reset(backoff)
 }
 
 func (t *TCPSender) onTimeout() {
@@ -271,11 +271,7 @@ func (t *TCPSender) updateRTT(sample sim.Time) {
 func (t *TCPSender) SRTT() sim.Time { return t.srtt }
 
 // Stop cancels the retransmission timer.
-func (t *TCPSender) Stop() {
-	if t.timer != nil {
-		t.timer.Cancel()
-	}
-}
+func (t *TCPSender) Stop() { t.timer.Stop() }
 
 // TCPReceiver is the receiving endpoint: cumulative ACKs, in-order
 // delivery accounting, goodput bins.

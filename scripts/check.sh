@@ -38,11 +38,6 @@ echo "== bench smoke (-benchtime=1x) =="
 # bench/run.sh is the benchmark.
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== frontier smoke (availability-vs-spare-ratio sweep) =="
-# The sweep must complete with zero invariant violations and print its
-# deterministic table + fingerprint; a small -scale keeps it quick.
-go run ./cmd/experiments -run frontier -scale 0.2 | tail -6
-
 echo "== metro scale lane (-race, 100 cells / 10k UEs) =="
 # The headline scale target: a 100-cell, 10k-UE lockstep fleet must
 # complete cleanly under the race detector (short horizon: the point is
