@@ -55,8 +55,9 @@ func dump(hexStr string) {
 		fmt.Printf("!! bad hex: %v\n", err)
 		return
 	}
-	if pkt, err := fronthaul.Decode(data); err == nil {
-		dumpFronthaul(pkt, len(data))
+	var pkt fronthaul.Packet
+	if err := pkt.DecodeFrom(data); err == nil {
+		dumpFronthaul(&pkt, len(data))
 		return
 	}
 	if msg, err := fapi.Decode(data); err == nil {

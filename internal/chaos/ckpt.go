@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"slingshot/internal/ckpt/wire"
@@ -34,18 +36,13 @@ func (c *Checker) SnapshotTo(w *wire.W) {
 	for k := range c.harqBuf {
 		hkeys = append(hkeys, k)
 	}
-	sort.Slice(hkeys, func(i, j int) bool {
-		a, b := hkeys[i], hkeys[j]
-		if a.server != b.server {
-			return a.server < b.server
-		}
-		if a.cell != b.cell {
-			return a.cell < b.cell
-		}
-		if a.ue != b.ue {
-			return a.ue < b.ue
-		}
-		return a.proc < b.proc
+	slices.SortFunc(hkeys, func(a, b harqKey) int {
+		return cmp.Or(
+			cmp.Compare(a.server, b.server),
+			cmp.Compare(a.cell, b.cell),
+			cmp.Compare(a.ue, b.ue),
+			cmp.Compare(a.proc, b.proc),
+		)
 	})
 	w.U32(uint32(len(hkeys)))
 	for _, k := range hkeys {

@@ -3,7 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"slingshot/internal/ckpt/wire"
@@ -127,7 +127,7 @@ func Frontier(spec FrontierSpec, run func(scenario string, ratio float64, seed u
 			if slotSum > 0 {
 				p.Availability = 100 * (1 - float64(droppedSum)/float64(slotSum))
 			}
-			sort.Slice(dropped, func(a, b int) bool { return dropped[a] < dropped[b] })
+			slices.Sort(dropped)
 			p.P50 = pctile(dropped, 50)
 			p.P99 = pctile(dropped, 99)
 			if n := len(dropped); n > 0 {

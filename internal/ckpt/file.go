@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -94,7 +94,7 @@ func (m *Manager) List() ([]sim.Time, error) {
 		}
 		out = append(out, sim.Time(us)*sim.Microsecond)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 

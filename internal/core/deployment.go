@@ -9,7 +9,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"slingshot/internal/l2"
 	"slingshot/internal/netmodel"
@@ -351,7 +351,7 @@ func (d *Deployment) phyOrder() []uint8 {
 	for s := range d.PHYs {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -360,7 +360,7 @@ func (d *Deployment) cellOrder() []uint16 {
 	for c := range d.cellSeeds {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -369,7 +369,7 @@ func (d *Deployment) ueOrder() []uint16 {
 	for id := range d.UEs {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

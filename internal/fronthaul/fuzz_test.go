@@ -8,7 +8,9 @@ import (
 )
 
 // FuzzDecodePacket feeds arbitrary bytes to the eCPRI packet decoder: it
-// must never panic, and any packet it accepts must survive a
+// must never panic, DecodeFrom into a packet still holding another frame's
+// fields must agree with Decode (same error, and on success equal fields,
+// so no stale field survives), and any packet it accepts must survive a
 // serialize/decode round trip unchanged (decode is a left inverse of
 // serialize on the decoder's image).
 func FuzzDecodePacket(f *testing.F) {
@@ -22,10 +24,23 @@ func FuzzDecodePacket(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x10}, 21))
 
+	stale := []byte("stale-payload")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
+		into := Packet{
+			Version: 9, Type: 7, EAxC: 0xBEEF, Seq: 0xAA, Dir: Downlink,
+			Slot: SlotID{Frame: 3, Subframe: 4, Slot: 1}, Section: 11,
+			StartPRB: 12, NumPRB: 13, MantissaBits: 14,
+			Payload: stale, Aux: stale,
+		}
+		if errInto := into.DecodeFrom(data); errInto != err {
+			t.Fatalf("DecodeFrom error %v, Decode error %v", errInto, err)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(into, *p) {
+			t.Fatalf("DecodeFrom into a used packet differs from Decode:\n  into   %#v\n  decode %#v", into, *p)
 		}
 		// Peek helpers must agree with the full decode.
 		if slot, dir, ok := PeekSlot(data); !ok || slot != p.Slot || dir != p.Dir {
@@ -51,7 +66,9 @@ func FuzzDecodePacket(f *testing.F) {
 }
 
 // FuzzDecodeSections checks the C-plane section-list codec: no panic on
-// arbitrary bytes, and decode∘encode∘decode == decode.
+// arbitrary bytes, decode∘encode∘decode == decode, and AppendDecodeSections
+// keeps a non-empty prefix and appends exactly what DecodeSections returns
+// (nothing, on error).
 func FuzzDecodeSections(f *testing.F) {
 	f.Add(EncodeSections(nil))
 	f.Add(EncodeSections([]Section{
@@ -60,8 +77,20 @@ func FuzzDecodeSections(f *testing.F) {
 	}))
 	f.Add([]byte{0xFF, 0xFF})
 
+	prefix := []Section{{UEID: 0xFFFF, Dir: Downlink, NumPRB: 273, GrantSlot: 1 << 40}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		secs, err := DecodeSections(data)
+		dst := append(make([]Section, 0, 2), prefix...)
+		appended, errApp := AppendDecodeSections(dst, data)
+		if errApp != err {
+			t.Fatalf("AppendDecodeSections error %v, DecodeSections error %v", errApp, err)
+		}
+		if len(appended) != len(prefix)+len(secs) || !reflect.DeepEqual(appended[:len(prefix)], prefix) {
+			t.Fatalf("AppendDecodeSections returned %#v, want prefix %#v then %d sections", appended, prefix, len(secs))
+		}
+		if len(secs) > 0 && !reflect.DeepEqual(appended[len(prefix):], secs) {
+			t.Fatalf("AppendDecodeSections appended %#v, DecodeSections returned %#v", appended[len(prefix):], secs)
+		}
 		if err != nil {
 			return
 		}

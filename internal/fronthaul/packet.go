@@ -135,40 +135,60 @@ func (p *Packet) TraceArgs() (a, b uint64) {
 	return a, b
 }
 
-// Decode parses a wire-format packet. The payload slice aliases data
-// (zero-copy); callers that retain it past the frame's lifetime must copy.
+// Decode parses a wire-format packet into a new Packet. The payload slice
+// aliases data (zero-copy); callers that retain it past the frame's
+// lifetime must copy. Hot receive paths use DecodeFrom into storage they
+// own instead.
 func Decode(data []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := p.DecodeFrom(data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeFrom parses a wire-format packet into p, overwriting every field
+// (p may hold a previous frame's packet). Payload and Aux alias data, so p
+// is valid only while data is; a receiver that decodes into a long-lived
+// Packet clears it before releasing the frame. On error p's contents are
+// unspecified.
+func (p *Packet) DecodeFrom(data []byte) error {
 	if len(data) < headerLen {
-		return nil, ErrShortPacket
+		return ErrShortPacket
 	}
-	p := &Packet{
-		Version: data[0] >> 4,
-		Type:    MessageType(data[0] & 0x0F),
-	}
-	if p.Version != CurrentVersion {
-		return nil, ErrBadVersion
+	if data[0]>>4 != CurrentVersion {
+		return ErrBadVersion
 	}
 	plen := int(binary.BigEndian.Uint16(data[1:3]))
 	alen := int(binary.BigEndian.Uint32(data[17:21]))
 	if len(data) < headerLen+plen+alen {
-		return nil, ErrShortPacket
+		return ErrShortPacket
 	}
-	p.EAxC = binary.BigEndian.Uint16(data[3:5])
-	p.Seq = data[5]
+	slot := SlotID{Frame: data[7], Subframe: data[8] >> 4, Slot: data[8] & 0x0F}
+	if !slot.Valid() {
+		return ErrBadSlot
+	}
+	dir := Uplink
 	if data[6]&0x80 != 0 {
-		p.Dir = Downlink
+		dir = Downlink
 	}
-	p.Slot = SlotID{Frame: data[7], Subframe: data[8] >> 4, Slot: data[8] & 0x0F}
-	if !p.Slot.Valid() {
-		return nil, ErrBadSlot
+	// One composite literal, so a field added to Packet is written here
+	// (zeroed) rather than left over from the previous frame.
+	*p = Packet{
+		Version:      data[0] >> 4,
+		Type:         MessageType(data[0] & 0x0F),
+		EAxC:         binary.BigEndian.Uint16(data[3:5]),
+		Seq:          data[5],
+		Dir:          dir,
+		Slot:         slot,
+		Section:      binary.BigEndian.Uint16(data[10:12]),
+		StartPRB:     binary.BigEndian.Uint16(data[12:14]),
+		NumPRB:       binary.BigEndian.Uint16(data[14:16]),
+		MantissaBits: data[16],
+		Payload:      data[headerLen : headerLen+plen],
+		Aux:          data[headerLen+plen : headerLen+plen+alen],
 	}
-	p.Section = binary.BigEndian.Uint16(data[10:12])
-	p.StartPRB = binary.BigEndian.Uint16(data[12:14])
-	p.NumPRB = binary.BigEndian.Uint16(data[14:16])
-	p.MantissaBits = data[16]
-	p.Payload = data[headerLen : headerLen+plen]
-	p.Aux = data[headerLen+plen : headerLen+plen+alen]
-	return p, nil
+	return nil
 }
 
 // PeekSlot extracts only the slot identifier and direction from a
@@ -203,9 +223,10 @@ func PeekType(data []byte) (MessageType, bool) {
 	return MessageType(data[0] & 0x0F), true
 }
 
-// packetPool recycles locally built transmit packets. Packets returned by
-// Decode are NOT pooled: their Payload/Aux alias the received frame, so
-// their lifetime belongs to the frame's owner.
+// packetPool recycles locally built transmit packets. Received packets
+// are never pooled: receivers decode with DecodeFrom into a Packet they
+// own (a stack local or a struct field), and its Payload/Aux alias the
+// received frame, so their lifetime belongs to the frame's owner.
 var packetPool = mem.NewPool[Packet](func(p *Packet) { *p = Packet{} })
 
 // Recycle returns a locally built packet's struct to the free list. Call it

@@ -1,7 +1,8 @@
 package harq
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"slingshot/internal/ckpt/wire"
 )
@@ -15,11 +16,8 @@ func (p *Pool) SnapshotTo(w *wire.W) {
 	for k := range p.buffers {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ue != keys[j].ue {
-			return keys[i].ue < keys[j].ue
-		}
-		return keys[i].proc < keys[j].proc
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.ue, b.ue), cmp.Compare(a.proc, b.proc))
 	})
 	w.U64(p.Combined)
 	w.U64(p.Interrupted)

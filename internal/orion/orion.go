@@ -14,7 +14,7 @@
 package orion
 
 import (
-	"sort"
+	"slices"
 
 	"slingshot/internal/fapi"
 	"slingshot/internal/fronthaul"
@@ -641,6 +641,6 @@ func (o *Orion) Cells() []uint16 {
 	for id := range o.cells {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

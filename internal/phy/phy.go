@@ -1,8 +1,10 @@
 package phy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"slingshot/internal/ckpt/wire"
@@ -514,10 +516,12 @@ func (p *PHY) processSlot(c *cell, slot uint64) {
 }
 
 // recyclePending returns a slot's pending list to the free list, giving
-// back the pooled buffers of blocks that never drained.
+// back the pooled buffers (block buffers and the TB sidecar copy) of
+// blocks that never drained.
 func (c *cell) recyclePending(pend []pendingUL) {
 	for i := range pend {
 		pend[i].pb.Release()
+		mem.PutBytes(pend[i].aux)
 		pend[i] = pendingUL{}
 	}
 	c.pendFree = append(c.pendFree, pend[:0])
@@ -653,9 +657,11 @@ func (p *PHY) transmitDL(c *cell, slot uint64, dl *fapi.DLConfig) {
 
 // HandleFrame implements netmodel.Receiver for fronthaul traffic from the
 // switch (uplink U-plane packets from the RU). The PHY is the frame's
-// terminal consumer: everything that outlives the call (IQ staging, UCI
+// terminal consumer. The packet is decoded into a stack-local
+// fronthaul.Packet whose Payload and Aux alias the wire buffer, so it dies
+// with the call; everything that outlives the call (IQ staging, UCI
 // reports, the TB sidecar held until drainUL) is copied out by the
-// handlers, so the frame and its wire buffer go back to the pool on
+// handlers, and the frame and its wire buffer go back to the pool on
 // return.
 func (p *PHY) HandleFrame(f *netmodel.Frame) {
 	p.handleFrame(f)
@@ -666,8 +672,8 @@ func (p *PHY) handleFrame(f *netmodel.Frame) {
 	if p.crashed || f.Type != netmodel.EtherTypeECPRI {
 		return
 	}
-	pkt, err := fronthaul.Decode(f.Payload)
-	if err != nil {
+	var pkt fronthaul.Packet
+	if err := pkt.DecodeFrom(f.Payload); err != nil {
 		if p.Trace != nil {
 			p.Trace.Metrics().Counter("phy.fh.decode_errors").Inc()
 		}
@@ -702,7 +708,7 @@ func (p *PHY) handleFrame(f *netmodel.Frame) {
 	if pkt.Type != fronthaul.MsgIQData {
 		return
 	}
-	p.receiveUL(c, pkt)
+	p.receiveUL(c, &pkt)
 }
 
 // receiveUL runs the stateful front half of the uplink chain on one UE's
@@ -805,11 +811,11 @@ func (p *PHY) drainUL(cellID uint16, slot uint64) {
 	// Ordered merge: sort by (UE, HARQ) so downstream effects (HARQ acks,
 	// CRC list order, stats) are independent of fronthaul arrival order —
 	// and trivially independent of worker scheduling.
-	sort.SliceStable(pending, func(i, j int) bool {
-		if pending[i].ue != pending[j].ue {
-			return pending[i].ue < pending[j].ue
+	slices.SortStableFunc(pending, func(a, b pendingUL) int {
+		if c := cmp.Compare(a.ue, b.ue); c != 0 {
+			return c
 		}
-		return pending[i].harq < pending[j].harq
+		return cmp.Compare(a.harq, b.harq)
 	})
 
 	// Parallel part: pure compute only. The slot's valid blocks are staged

@@ -20,9 +20,12 @@ import (
 // package's UE implements it.
 type AttachedUE interface {
 	ID() uint16
-	// DeliverControl hands the slot's C-plane sections to the UE.
+	// DeliverControl hands the slot's C-plane sections to the UE. secs is
+	// the RU's reused decode buffer, valid only during the call.
 	DeliverControl(absSlot uint64, secs []fronthaul.Section)
-	// DeliverDownlink hands a DL U-plane packet to the UE.
+	// DeliverDownlink hands a DL U-plane packet to the UE. The packet and
+	// the bytes its Payload and Aux alias are the RU's, valid only during
+	// the call.
 	DeliverDownlink(absSlot uint64, pkt *fronthaul.Packet)
 	// PullUplink asks the UE for its granted uplink transmission. iq holds
 	// whole PRBs (a multiple of 12 samples) in a mem.GetComplexCap lease
@@ -89,6 +92,15 @@ type RU struct {
 	// for a silent UE).
 	uciBuf []fapi.UCI
 	ulPkts []*fronthaul.Packet
+
+	// Receive staging, reused across frames: handleFrame decodes each
+	// downlink packet into rx and its C-plane sections into secs. rx is a
+	// field, not a local, because DeliverDownlink is an interface call the
+	// compiler cannot prove keeps no reference. HandleFrame zeroes rx
+	// before the frame is released, so no alias into a pooled wire buffer
+	// outlives the frame.
+	rx   fronthaul.Packet
+	secs []fronthaul.Section
 }
 
 // New creates an RU.
@@ -236,11 +248,13 @@ func (r *RU) transmit(offset sim.Time, pkt *fronthaul.Packet, virtual int) {
 }
 
 // HandleFrame receives downlink fronthaul from the switch and beams it to
-// the UEs. The RU is the frame's terminal consumer: sections and IQ are
-// decoded (copied) into the UEs synchronously, so the frame and its wire
-// buffer go back to the pool on return.
+// the UEs. The RU is the frame's terminal consumer: the packet is decoded
+// into r.rx (its Payload and Aux alias the wire buffer) and the sections
+// into r.secs, the UEs copy what they keep synchronously, and r.rx is
+// cleared before the frame and its wire buffer go back to the pool.
 func (r *RU) HandleFrame(f *netmodel.Frame) {
 	r.handleFrame(f)
+	r.rx = fronthaul.Packet{}
 	netmodel.ReleaseFrame(f)
 }
 
@@ -248,8 +262,8 @@ func (r *RU) handleFrame(f *netmodel.Frame) {
 	if f.Type != netmodel.EtherTypeECPRI {
 		return
 	}
-	pkt, err := fronthaul.Decode(f.Payload)
-	if err != nil {
+	pkt := &r.rx
+	if err := pkt.DecodeFrom(f.Payload); err != nil {
 		r.Stats.DecodeErr++
 		return
 	}
@@ -265,11 +279,12 @@ func (r *RU) handleFrame(f *netmodel.Frame) {
 	switch pkt.Type {
 	case fronthaul.MsgRTControl:
 		r.Stats.DLControlRx++
-		secs, err := fronthaul.DecodeSections(pkt.Payload)
+		secs, err := fronthaul.AppendDecodeSections(r.secs[:0], pkt.Payload)
 		if err != nil {
 			r.Stats.DecodeErr++
 			return
 		}
+		r.secs = secs
 		for _, u := range r.ues {
 			u.DeliverControl(abs, secs)
 		}

@@ -15,7 +15,7 @@ import (
 type fakeUE struct {
 	id       uint16
 	ctrl     []uint64 // slots at which control arrived
-	dl       []*fronthaul.Packet
+	dl       []uint16 // Section of each DL U-plane packet delivered
 	dlSlots  []uint64
 	ulIQ     []complex128
 	ulAux    []byte
@@ -28,7 +28,8 @@ func (f *fakeUE) DeliverControl(slot uint64, secs []fronthaul.Section) {
 	f.ctrl = append(f.ctrl, slot)
 }
 func (f *fakeUE) DeliverDownlink(slot uint64, pkt *fronthaul.Packet) {
-	f.dl = append(f.dl, pkt)
+	// The packet is the RU's receive buffer, reused after the call.
+	f.dl = append(f.dl, pkt.Section)
 	f.dlSlots = append(f.dlSlots, slot)
 }
 func (f *fakeUE) PullUplink(slot uint64) ([]complex128, []byte, bool) {

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"slingshot/internal/ckpt/wire"
@@ -58,15 +60,11 @@ func (f *Fleet) SnapshotTo(w *wire.W) {
 	w.Section("mailbox", func(w *wire.W) {
 		msgs := make([]Message, len(f.mbox.h))
 		copy(msgs, f.mbox.h)
-		sort.Slice(msgs, func(i, j int) bool {
-			a, b := msgs[i], msgs[j]
-			if a.At != b.At {
-				return a.At < b.At
-			}
-			if a.Src != b.Src {
-				return a.Src < b.Src
-			}
-			return a.Seq < b.Seq
+		// Stable: Post tolerates duplicate (At, Src, Seq) keys, which
+		// the fleet never produces; should one appear, the image keeps
+		// the heap's order rather than the sort's.
+		slices.SortStableFunc(msgs, func(a, b Message) int {
+			return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Seq, b.Seq))
 		})
 		w.U32(uint32(len(msgs)))
 		for _, m := range msgs {

@@ -1,9 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 
 	"slingshot/internal/chaos"
@@ -501,6 +502,12 @@ type migCmd struct {
 	cell int
 }
 
+// compare orders commands by (at, cell): every field, so commands that
+// compare equal are identical and an unstable sort is deterministic.
+func (m migCmd) compare(o migCmd) int {
+	return cmp.Or(cmp.Compare(m.at, o.at), cmp.Compare(m.cell, o.cell))
+}
+
 // New validates the config and builds the fleet: one deployment per cell,
 // faults scheduled, tickers armed. Call Run to execute.
 func New(cfg Config) (*Fleet, error) {
@@ -648,12 +655,7 @@ func New(cfg Config) (*Fleet, error) {
 				cell: migRNG.Intn(cfg.Cells),
 			})
 		}
-		sort.Slice(f.migPlan, func(a, b int) bool {
-			if f.migPlan[a].at != f.migPlan[b].at {
-				return f.migPlan[a].at < f.migPlan[b].at
-			}
-			return f.migPlan[a].cell < f.migPlan[b].cell
-		})
+		slices.SortFunc(f.migPlan, migCmd.compare)
 	}
 
 	// Rack losses: each hits one distinct zone, killing every active PHY
@@ -713,12 +715,7 @@ func New(cfg Config) (*Fleet, error) {
 				f.upgPlan = append(f.upgPlan, migCmd{at: start + sim.Time(f.zoneOf[ci])*cfg.WaveStride, cell: ci})
 			}
 		}
-		sort.Slice(f.upgPlan, func(a, b int) bool {
-			if f.upgPlan[a].at != f.upgPlan[b].at {
-				return f.upgPlan[a].at < f.upgPlan[b].at
-			}
-			return f.upgPlan[a].cell < f.upgPlan[b].cell
-		})
+		slices.SortFunc(f.upgPlan, migCmd.compare)
 	}
 
 	// Forced violation: feed the checker a stamped packet pair whose

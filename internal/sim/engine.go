@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // event is a scheduled callback. Events with equal times fire in the order
@@ -244,11 +245,8 @@ type QueuedEvent struct {
 // they are no longer part of the schedule's identity.
 func (e *Engine) QueueSnapshot() []QueuedEvent {
 	out := e.q.snapshot(make([]QueuedEvent, 0, e.q.live))
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Seq < out[j].Seq
+	slices.SortFunc(out, func(a, b QueuedEvent) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Seq, b.Seq))
 	})
 	return out
 }

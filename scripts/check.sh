@@ -21,6 +21,12 @@ echo "== bench module (short tests) =="
 # short tests run here.
 go -C bench test -short ./...
 
+echo "== pair rule smoke (HEAD vs working tree, 1 pair) =="
+# Keeps scripts/pair.sh, and its reading of BENCHMARK.json and of
+# bench/run.sh's output, working. One pair at a 1 s budget resolves no
+# gain; a WORSE verdict here on an unchanged tree means a noisy machine.
+scripts/pair.sh HEAD --pairs 1 --seconds 1
+
 echo "== go test -race =="
 # The worker pool is GOMAXPROCS wide, so par batches, seed-sharded soaks
 # and fleet shard groups all run concurrently under the race detector.
