@@ -23,7 +23,6 @@ func TestAllocationRatchet(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
-	defer mem.SetEnabled(mem.SetEnabled(true))
 	for _, tc := range []struct {
 		name       string
 		cells, ues int

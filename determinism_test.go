@@ -4,9 +4,9 @@ package slingshot
 // run being a pure function of its seed: execution knobs change wall-clock
 // time and allocator traffic, never a report byte or a checkpoint image.
 // One table holds the workloads (rows); each row lists the cells — points
-// on the axes W (worker-pool width), S (shard groups), P (buffer pooling)
+// on the axes W (worker-pool width), S (shard groups), P (poisoned leases)
 // and R (restore from a checkpoint, then run on) — that must reproduce its
-// base run: W1 S1 pooling on, run straight through. DESIGN.md §8 carries
+// base run: W1 S1 unpoisoned, run straight through. DESIGN.md §8 carries
 // the table's shape and what each axis defends.
 
 import (
@@ -29,8 +29,8 @@ import (
 
 // cell is one point on the matrix's axes; the zero value is the base.
 type cell struct {
-	W, S int  // worker-pool width and shard groups; 0 means 1
-	Poff bool // buffer pooling off (mem.SetEnabled(false))
+	W, S   int  // worker-pool width and shard groups; 0 means 1
+	Poison bool // every released lease poisoned (mem.TrackLeases)
 	// R restores the snapshot taken at barrier restoreAt(cfg)[R-1] of the
 	// straight run from (nil: the base) onto S groups, then runs on.
 	R    int
@@ -55,8 +55,8 @@ func (c cell) String() string {
 	if c.W > 1 {
 		axes = append(axes, fmt.Sprintf("W%d", c.W))
 	}
-	if c.Poff {
-		axes = append(axes, "P-off")
+	if c.Poison {
+		axes = append(axes, "poison")
 	}
 	if c.R > 0 {
 		axes = append(axes, "R@"+restoreNames[c.R-1])
@@ -83,8 +83,8 @@ func (c cell) flips() []cell {
 	if c.W > 1 {
 		out = append(out, cell{W: c.W})
 	}
-	if c.Poff {
-		out = append(out, cell{Poff: true})
+	if c.Poison {
+		out = append(out, cell{Poison: true})
 	}
 	if c.R > 0 {
 		out = append(out, cell{R: c.R, from: c.from})
@@ -92,16 +92,22 @@ func (c cell) flips() []cell {
 	return out
 }
 
-// setAxes applies c's worker width and pooling mode until t ends, and
-// restores the previous values with t.Cleanup, so a cell that stops early
+// setAxes applies c's worker width and, for a poison cell, arms
+// mem.TrackLeases. The returned restore puts back the previous width and
+// disarms the poison; t.Cleanup calls it too, so a cell that stops early
 // (t.Fatal, t.SkipNow) cannot leak its knobs into later tests.
-func setAxes(t testing.TB, c cell) {
+func setAxes(t testing.TB, c cell) (restore func()) {
 	prevW := par.SetWorkers(max(c.W, 1))
-	prevP := mem.SetEnabled(!c.Poff)
-	t.Cleanup(func() {
+	stop := func() {}
+	if c.Poison {
+		stop = mem.TrackLeases()
+	}
+	restore = func() {
 		par.SetWorkers(prevW)
-		mem.SetEnabled(prevP)
-	})
+		stop()
+	}
+	t.Cleanup(restore)
+	return restore
 }
 
 // fingerprint is what every cell must reproduce: the report text and, for
@@ -137,7 +143,7 @@ func (r row) diagonal() cell {
 		if c.S > 1 {
 			d.S = 4
 		}
-		d.Poff = d.Poff || c.Poff
+		d.Poison = d.Poison || c.Poison
 		if c.R > 0 {
 			d.R = 2
 		}
@@ -244,8 +250,8 @@ func clip(s string) string {
 }
 
 var (
-	w4   = cell{W: 4}
-	poff = cell{Poff: true}
+	w4     = cell{W: 4}
+	poison = cell{Poison: true}
 )
 
 // sw is the S × W product, shards {1, 4} × workers {1, 4}, minus the base.
@@ -295,19 +301,19 @@ func matrixRows(t *testing.T) []row {
 	upgradeWave := config(shard.CorrelatedConfig("upgrade-wave", 8, 48))
 	upgradeWave.Seed = 7
 
-	poffS2W4 := cell{S: 2, W: 4, Poff: true}
+	poisonS2W4 := cell{S: 2, W: 4, Poison: true}
 	return []row{
-		{name: "fig8", run: experiment("fig8", 0.5), cells: []cell{w4, poff}},
-		{name: "sec82", run: experiment("sec82", 0.5), cells: []cell{w4, poff}},
+		{name: "fig8", run: experiment("fig8", 0.5), cells: []cell{w4, poison}},
+		{name: "sec82", run: experiment("sec82", 0.5), cells: []cell{w4, poison}},
 		{name: "chaos", run: report(func(c cell) (string, error) {
 			return Chaos(5+uint64(c.Seed), "light")
-		}), cells: []cell{w4, poff, {Seed: 1}}},
+		}), cells: []cell{w4, poison, {Seed: 1}}},
 		// The serialized event trace: emission happens only on the
 		// event-loop goroutine, so no knob may reorder or drop events.
 		{name: "chaos-trace", run: report(func(cell) (string, error) {
 			_, tr, err := ChaosTraced(5, "light")
 			return tr, err
-		}), cells: []cell{w4, poff}},
+		}), cells: []cell{w4, poison}},
 		{name: "chaos-seeds", run: report(func(cell) (string, error) {
 			var b strings.Builder
 			for seed := uint64(1); seed <= 5; seed++ {
@@ -315,9 +321,9 @@ func matrixRows(t *testing.T) []row {
 				fmt.Fprintf(&b, "seed %d fingerprint %016x\n%s\n", seed, rep.Fingerprint, rep)
 			}
 			return b.String(), nil
-		}), cells: []cell{poff}},
+		}), cells: []cell{poison}},
 		// Any scale at or below 1/12 runs Table 2 at its 5 s floor per rate.
-		{name: "table2", run: experiment("table2", 0.05), cells: []cell{{W: 4, Poff: true}}},
+		{name: "table2", run: experiment("table2", 0.05), cells: []cell{{W: 4, Poison: true}}},
 		{name: "facade", run: report(func(cell) (string, error) {
 			d := New(DefaultOptions())
 			d.Start()
@@ -329,17 +335,17 @@ func matrixRows(t *testing.T) []row {
 			}
 			return fmt.Sprint(d.Detections()), nil
 		}), cells: []cell{w4}},
-		{name: "dense-cell", run: fleet(denseCell), cells: []cell{w4, poff, {R: 2}}},
+		{name: "dense-cell", run: fleet(denseCell), cells: []cell{w4, poison, {R: 2}}},
 		{name: "metro", run: fleet(metro), cells: append(sw(), cell{Seed: 1}),
 			api: func() (string, error) { return Metro(MetroOptions{Cells: 6, UEs: 36, Seed: 11}) }},
 		{name: "metro-trace", run: fleet(metroTrace), cells: sw()},
-		{name: "rack-loss", run: fleet(rackLoss), cells: append(sw(), poff)},
+		{name: "rack-loss", run: fleet(rackLoss), cells: append(sw(), poison)},
 		{name: "upgrade-wave", run: fleet(upgradeWave), cells: []cell{{S: 4}}},
-		// Shard counts that do not divide the cells, pooling off with its
-		// image, and snapshots crossing pooling modes in both directions.
+		// Shard counts that do not divide the cells, poison with its image,
+		// and snapshots crossing into and out of poison.
 		{name: "fleet-chaos", run: fleet(fleetChaos), cells: append(append(sw(),
 			cell{S: 2, W: 4}, cell{S: 3, W: 4}, cell{S: 6, W: 4}), append(rsw(),
-			poffS2W4, cell{S: 2, W: 4, Poff: true, R: 2}, cell{S: 2, W: 4, R: 2, from: &poffS2W4})...)},
+			poisonS2W4, cell{S: 2, W: 4, Poison: true, R: 2}, cell{S: 2, W: 4, R: 2, from: &poisonS2W4})...)},
 		{name: "fig8-fleet", run: fleet(fig8Fleet), cells: append(sw(), rsw()...)},
 		{name: "frontier-sample", run: fleet(frontierSample), cells: append(sw(), rsw()...)},
 		// The sweep composes fleet runs through par.Map, so both knobs
@@ -393,12 +399,13 @@ func TestDeterminismMatrix(t *testing.T) {
 			ran := map[string]*outcome{"base": {fp: base}}
 			var check func(t *testing.T, c cell)
 			check = func(t *testing.T, c cell) {
-				setAxes(t, c)
+				restore := setAxes(t, c)
 				src := &base
 				if c.from != nil {
 					src = &ran[c.from.String()].fp
 				}
 				got, err := r.run(c, src)
+				restore() // a single flip below must not inherit c's poison
 				d := divergence(base, got)
 				if err != nil {
 					d = "run failed: " + clip(err.Error()) + "\n"
@@ -446,18 +453,19 @@ func TestDeterminismMatrix(t *testing.T) {
 
 // TestSetAxesRestoresOnEarlyExit: a cell ended by t.SkipNow — which runs
 // cleanups exactly as t.Fatal does — must hand later tests the worker
-// width and pooling mode it found.
+// width it found and no armed poison.
 func TestSetAxesRestoresOnEarlyExit(t *testing.T) {
-	workers, pooling := par.Workers(), mem.Enabled()
+	workers := par.Workers()
 	t.Run("cell", func(t *testing.T) {
-		setAxes(t, cell{W: 4, Poff: true})
-		if par.Workers() != 4 || mem.Enabled() {
-			t.Errorf("setAxes applied workers=%d pooling=%v, want 4 and off", par.Workers(), mem.Enabled())
+		setAxes(t, cell{W: 4, Poison: true})
+		if par.Workers() != 4 || mem.LeakedLeases() == -1 {
+			t.Errorf("setAxes applied workers=%d, leases tracked=%v; want 4 and tracked",
+				par.Workers(), mem.LeakedLeases() != -1)
 		}
 		t.SkipNow()
 	})
-	if par.Workers() != workers || mem.Enabled() != pooling {
-		t.Fatalf("after the cell: workers=%d pooling=%v, want %d and %v",
-			par.Workers(), mem.Enabled(), workers, pooling)
+	if par.Workers() != workers || mem.LeakedLeases() != -1 {
+		t.Fatalf("after the cell: workers=%d, leases tracked=%v; want %d and untracked",
+			par.Workers(), mem.LeakedLeases() != -1, workers)
 	}
 }

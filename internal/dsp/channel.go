@@ -59,17 +59,18 @@ func (c *Channel) NoiseVar() float64 {
 	return math.Pow(10, -c.SNRdB()/10)
 }
 
-// Transmit passes unit-power symbols through the channel: applies the
-// complex gain and adds complex AWGN at the current SNR. The input is not
-// modified. It is the allocating form of TransmitInto.
+// Transmit is TransmitInto a fresh slice; symbols is not modified. It
+// remains only because the benchmark module's probes (bench/probes.go) and
+// tests call it.
 func (c *Channel) Transmit(symbols []complex128) []complex128 {
 	return c.TransmitInto(make([]complex128, len(symbols)), symbols)
 }
 
-// TransmitInto is Transmit writing into dst (grown only if its capacity is
-// short) and returning dst[:len(symbols)]. Every element of the result is
-// written, so dst may be a pooled lease with stale contents. dst may be
-// symbols itself — the in-place form the radio hot paths use. Any other
+// TransmitInto passes unit-power symbols through the channel — the complex
+// gain, then complex AWGN at the current SNR — into dst (grown only if its
+// capacity is short) and returns dst[:len(symbols)]. Every element of the
+// result is written, so dst may be a pooled lease with stale contents. dst
+// may be symbols itself — the in-place form the radio paths use. Any other
 // overlap panics before a sample is drawn: a dst ahead of symbols in the
 // same array would read samples it had already overwritten.
 func (c *Channel) TransmitInto(dst, symbols []complex128) []complex128 {

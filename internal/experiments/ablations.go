@@ -159,12 +159,13 @@ func ablateBFPWidth() string {
 		codec := phy.NewCodec(0, 0, width, 0xB0F)
 		rng := sim.NewRNG(77)
 		ok := 0
+		var iq []complex128
 		const trials = 300
 		for i := 0; i < trials; i++ {
 			ch := dsp.NewChannel(snr, 0, 0, rng.Fork(uint64(i)))
 			slot := uint64(100 + i)
-			iq := phy.PadSymbols(codec.EncodeBlock([]byte("x"), slot, 1, dsp.QAM64))
-			enc, _ := fronthaul.CompressBFP(ch.Transmit(iq), width)
+			iq = phy.PadSymbols(codec.AppendEncodeBlock(iq[:0], []byte("x"), slot, 1, dsp.QAM64))
+			enc, _ := fronthaul.CompressBFP(ch.TransmitInto(iq, iq), width)
 			dec, _ := fronthaul.DecompressBFP(enc, width)
 			if codec.DecodeBlock(dec, slot, 1, dsp.QAM64, nil, 0, true, 8).OK {
 				ok++

@@ -15,8 +15,6 @@ func TestPDUAssemblyAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
-	prev := mem.SetEnabled(true)
-	defer mem.SetEnabled(prev)
 	cycle := func() {
 		ul := GetULConfig(0, 5)
 		ul.PDUs = append(ul.PDUs, PDU{
@@ -45,8 +43,6 @@ func TestTxDataAssemblyAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
-	prev := mem.SetEnabled(true)
-	defer mem.SetEnabled(prev)
 	tb := make([]byte, 96)
 	for i := range tb {
 		tb[i] = byte(i)

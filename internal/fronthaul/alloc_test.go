@@ -16,8 +16,6 @@ func TestPacketRoundTripAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
-	prev := mem.SetEnabled(true)
-	defer mem.SetEnabled(prev)
 	iq := make([]complex128, 120)
 	for i := range iq {
 		iq[i] = complex(float64(i%7)/3.5-1, float64(i%5)/2.5-1)

@@ -21,30 +21,14 @@
 //     GC reclaims it; pools are an optimization, never a correctness
 //     requirement.
 //
-// Pooling is on at start. SetEnabled(false) disables recycling entirely:
-// Get* degrade to plain make and Put* to no-ops, which is the reference
-// behavior determinism tests compare against. Any -race build arms a
-// double-free detector; TrackLeases arms leak counting for one test.
+// Any -race build arms a double-free detector; TrackLeases arms leak
+// counting and poisons every released lease for the span of one test.
 package mem
 
 import (
+	"math"
 	"sync"
-	"sync/atomic"
 )
-
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enabled reports whether pooling is active.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled toggles pooling at runtime (determinism tests compare a
-// pooled run against a pooling-off run in one process) and returns the
-// previous setting. Buffers already leased remain valid either way.
-func SetEnabled(on bool) (prev bool) {
-	return enabled.Swap(on)
-}
 
 // Size classes are powers of two; larger requests fall through to plain
 // allocation (they are rare and pooling them would pin large memory).
@@ -125,33 +109,29 @@ func GetBytes(n int) []byte {
 // GetBytesCap leases a zero-length []byte with capacity ≥ n, for
 // append-style fills.
 func GetBytesCap(n int) []byte {
-	if Enabled() {
-		if c := classFor(n); c >= 0 {
-			if v := bytePools[c].get(); v != nil {
-				detectorLease(v)
-				return v[:0]
-			}
-			b := make([]byte, 0, 1<<(minClassShift+c))
-			detectorLease(b)
-			return b
-		}
+	c := classFor(n)
+	if c < 0 {
+		return make([]byte, 0, n)
 	}
-	return make([]byte, 0, n)
+	b := bytePools[c].get()
+	if b == nil {
+		b = make([]byte, 0, 1<<(minClassShift+c))
+	}
+	detectorLease(b)
+	return b[:0]
 }
 
 // PutBytes recycles a leased buffer. Safe on nil and on buffers that were
 // never pooled (they are filed by capacity class, or dropped when too
 // small). The caller must not touch b afterwards.
 func PutBytes(b []byte) {
-	if !Enabled() || b == nil {
-		return
-	}
 	c := classUnder(cap(b))
 	if c < 0 {
 		return
 	}
 	b = b[:0]
 	detectorPut(b)
+	poison(b, 0xA5)
 	bytePools[c].put(b)
 }
 
@@ -160,26 +140,23 @@ func GetComplex(n int) []complex128 { return GetComplexCap(n)[:n] }
 
 // GetComplexCap leases a zero-length []complex128 with capacity ≥ n.
 func GetComplexCap(n int) []complex128 {
-	if Enabled() {
-		if c := classFor(n); c >= 0 {
-			if v := complexPools[c].get(); v != nil {
-				return v[:0]
-			}
-			return make([]complex128, 0, 1<<(minClassShift+c))
-		}
+	c := classFor(n)
+	if c < 0 {
+		return make([]complex128, 0, n)
 	}
-	return make([]complex128, 0, n)
+	if v := complexPools[c].get(); v != nil {
+		return v[:0]
+	}
+	return make([]complex128, 0, 1<<(minClassShift+c))
 }
 
 // PutComplex recycles a leased IQ buffer.
 func PutComplex(b []complex128) {
-	if !Enabled() || b == nil {
-		return
-	}
 	c := classUnder(cap(b))
 	if c < 0 {
 		return
 	}
+	poison(b, complex(math.NaN(), math.NaN()))
 	complexPools[c].put(b[:0])
 }
 
@@ -188,32 +165,29 @@ func GetFloats(n int) []float64 { return GetFloatsCap(n)[:n] }
 
 // GetFloatsCap leases a zero-length []float64 with capacity ≥ n.
 func GetFloatsCap(n int) []float64 {
-	if Enabled() {
-		if c := classFor(n); c >= 0 {
-			if v := floatPools[c].get(); v != nil {
-				return v[:0]
-			}
-			return make([]float64, 0, 1<<(minClassShift+c))
-		}
+	c := classFor(n)
+	if c < 0 {
+		return make([]float64, 0, n)
 	}
-	return make([]float64, 0, n)
+	if v := floatPools[c].get(); v != nil {
+		return v[:0]
+	}
+	return make([]float64, 0, 1<<(minClassShift+c))
 }
 
 // PutFloats recycles a leased LLR/sample buffer.
 func PutFloats(b []float64) {
-	if !Enabled() || b == nil {
-		return
-	}
 	c := classUnder(cap(b))
 	if c < 0 {
 		return
 	}
+	poison(b, math.NaN())
 	floatPools[c].put(b[:0])
 }
 
 // Pool is a typed free list for struct staging (fronthaul packets, FAPI
-// messages, prepared-block staging). When pooling is disabled it degrades
-// to plain allocation.
+// messages, prepared-block staging). It rides a sync.Pool, so every GC
+// empties it.
 type Pool[T any] struct {
 	p sync.Pool
 	// Reset, when set, clears a recycled value before reuse (Put calls it,
@@ -226,19 +200,19 @@ func NewPool[T any](reset func(*T)) *Pool[T] {
 	return &Pool[T]{Reset: reset}
 }
 
-// Get leases a value (zero value on a pool miss or with pooling off).
+// Get leases a value (the zero value on a pool miss).
 func (p *Pool[T]) Get() *T {
-	if Enabled() {
-		if v, ok := p.p.Get().(*T); ok {
-			return v
-		}
+	if v, ok := p.p.Get().(*T); ok {
+		return v
 	}
 	return new(T)
 }
 
-// Put recycles a value. No-op with pooling off.
+// Put recycles a value. While TrackLeases is armed it neither resets nor
+// recycles v, so a holder that reads v after Put sees the contents the
+// Reset would have cleared.
 func (p *Pool[T]) Put(v *T) {
-	if v == nil || !Enabled() {
+	if v == nil || tracking.Load() {
 		return
 	}
 	if p.Reset != nil {

@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"math"
+	"math/cmplx"
+	"testing"
+)
 
 func TestClassRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 100, 1024, 4096, 354_000, 1 << 22} {
@@ -25,8 +29,6 @@ func TestClassRoundTrip(t *testing.T) {
 }
 
 func TestBytesRecycle(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	b := GetBytes(100)
 	if len(b) != 100 || cap(b) < 100 {
 		t.Fatalf("GetBytes(100): len=%d cap=%d", len(b), cap(b))
@@ -38,20 +40,66 @@ func TestBytesRecycle(t *testing.T) {
 	}
 }
 
-func TestDisabledIsPlainAlloc(t *testing.T) {
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
+// TestTrackLeasesPoisons: while TrackLeases is armed each Put poisons
+// what it releases — the whole capacity of a slice, and a typed value by
+// keeping it out of Reset and out of the pool — and after stop nothing is
+// poisoned.
+func TestTrackLeasesPoisons(t *testing.T) {
+	type thing struct{ n int }
+	p := NewPool[thing](func(v *thing) { v.n = 0 })
+	stop := TrackLeases()
 	b := GetBytes(100)
-	PutBytes(b) // must be a no-op, not a recycle
-	c := GetBytesCap(100)
-	if len(c) != 0 || cap(c) < 100 {
-		t.Fatalf("GetBytesCap off-mode: len=%d cap=%d", len(c), cap(c))
+	PutBytes(b)
+	for i, x := range b[:cap(b)] {
+		if x != 0xA5 {
+			t.Fatalf("released byte %d = %#x, want 0xA5", i, x)
+		}
+	}
+	f := GetFloats(10)
+	PutFloats(f)
+	for i, x := range f[:cap(f)] {
+		if !math.IsNaN(x) {
+			t.Fatalf("released float %d = %v, want NaN", i, x)
+		}
+	}
+	c := GetComplex(10)
+	PutComplex(c)
+	for i, x := range c[:cap(c)] {
+		if !cmplx.IsNaN(x) {
+			t.Fatalf("released sample %d = %v, want NaN", i, x)
+		}
+	}
+	v := p.Get()
+	v.n = 7
+	p.Put(v)
+	if v.n != 7 {
+		t.Fatalf("Put reset the value under TrackLeases: n=%d, want 7", v.n)
+	}
+	if w := p.Get(); w == v {
+		t.Fatal("Put recycled the value under TrackLeases")
+	}
+	stop()
+
+	b = GetBytes(100)
+	b[0] = 1
+	PutBytes(b)
+	f = GetFloats(10)
+	f[0] = 1
+	PutFloats(f)
+	c = GetComplex(10)
+	c[0] = 1
+	PutComplex(c)
+	if b[0] != 1 || f[0] != 1 || c[0] != 1 {
+		t.Fatalf("released after stop: byte %#x, float %v, sample %v; want all 1", b[0], f[0], c[0])
+	}
+	v.n = 7
+	p.Put(v)
+	if v.n != 0 {
+		t.Fatalf("Put after stop skipped Reset: n=%d", v.n)
 	}
 }
 
 func TestTypedPool(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	type thing struct{ n int }
 	p := NewPool[thing](func(v *thing) { v.n = 0 })
 	v := p.Get()
@@ -64,8 +112,6 @@ func TestTypedPool(t *testing.T) {
 }
 
 func TestArenaReleaseAll(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	var a Arena
 	a.Bytes(100)
 	a.Complex(10)
@@ -81,8 +127,6 @@ func TestArenaReleaseAll(t *testing.T) {
 
 func TestDoubleFreePanicsUnderDetector(t *testing.T) {
 	defer TrackLeases()()
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	b := GetBytes(256)
 	PutBytes(b)
 	defer func() {
@@ -94,8 +138,6 @@ func TestDoubleFreePanicsUnderDetector(t *testing.T) {
 }
 
 func TestTrackLeasesCountsOutstanding(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	if n := LeakedLeases(); n != -1 {
 		t.Fatalf("LeakedLeases before TrackLeases = %d, want -1", n)
 	}
@@ -119,8 +161,6 @@ func TestTrackLeasesCountsOutstanding(t *testing.T) {
 }
 
 func TestAllocsSteadyState(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	if detectorOn() {
 		t.Skip("detector maps allocate")
 	}

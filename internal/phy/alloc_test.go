@@ -24,8 +24,6 @@ func TestUplinkSlotSteadyStateAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
-	prevPool := mem.SetEnabled(true)
-	defer mem.SetEnabled(prevPool)
 	prevW := par.SetWorkers(1) // keep decode inline so the bill is stable
 	defer par.SetWorkers(prevW)
 
@@ -153,7 +151,6 @@ func TestNullSlotSteadyStateAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
-	defer mem.SetEnabled(mem.SetEnabled(true))
 	step := nullSlotPHY()
 	for range 2 * RingSlots {
 		step()
@@ -171,7 +168,6 @@ func TestULControlFrameAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
-	defer mem.SetEnabled(mem.SetEnabled(true))
 	e := sim.NewEngine()
 	p := New(e, DefaultConfig(1), sim.NewRNG(1))
 	forwarded := 0
@@ -213,7 +209,6 @@ func TestULControlFrameAllocs(t *testing.T) {
 // copy along with its block buffers; with everything else released by the
 // sinks, no byte lease may be left outstanding.
 func TestUndrainedBlockReleasesSidecar(t *testing.T) {
-	defer mem.SetEnabled(mem.SetEnabled(true))
 	stop := mem.TrackLeases()
 	defer stop()
 

@@ -103,16 +103,17 @@ type encodeBuf struct {
 
 var encodeBufPool = sync.Pool{New: func() any { return new(encodeBuf) }}
 
-// EncodeBlock produces the transmitted symbols for a transport block:
-// PilotLen pilot symbols followed by the scrambled, modulated code block.
+// EncodeBlock is AppendEncodeBlock into a fresh slice. It remains only
+// because the benchmark module's probes (bench/probes.go) and tests call it.
 func (c *Codec) EncodeBlock(tb []byte, slot uint64, ue uint16, m dsp.Modulation) []complex128 {
 	return c.AppendEncodeBlock(nil, tb, slot, ue, m)
 }
 
-// AppendEncodeBlock is EncodeBlock appending to dst, with all intermediate
-// staging (CRC frame, bits, coded bits, pilots) in recycled buffers — the
-// bit stream is identical to EncodeBlock's. Safe to call from parallel
-// workers: it touches no codec state beyond the immutable code tables.
+// AppendEncodeBlock appends a transport block's transmitted symbols to dst:
+// PilotLen pilot symbols followed by the scrambled, modulated code block,
+// with all intermediate staging (CRC frame, bits, coded bits, pilots) in
+// recycled buffers. Safe to call from parallel workers: it touches no codec
+// state beyond the immutable code tables.
 func (c *Codec) AppendEncodeBlock(dst []complex128, tb []byte, slot uint64, ue uint16, m dsp.Modulation) []complex128 {
 	eb := encodeBufPool.Get().(*encodeBuf)
 

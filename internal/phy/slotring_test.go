@@ -8,7 +8,6 @@ import (
 	"slingshot/internal/dsp"
 	"slingshot/internal/fapi"
 	"slingshot/internal/fronthaul"
-	"slingshot/internal/mem"
 	"slingshot/internal/sim"
 )
 
@@ -204,8 +203,6 @@ func TestPHYGrantedUEWithoutPacketGetsDTX(t *testing.T) {
 // for a slot the cell never processed, stays behind. Its ring cell's next
 // slot evicts and releases it (the released message is reset by its pool).
 func TestSlotGCReleasesWhatItSkips(t *testing.T) {
-	defer mem.SetEnabled(mem.SetEnabled(true))
-
 	h := newHarness(t, DefaultConfig(1))
 	h.configureAndStart(1)
 	h.feedNullConfigs(1, 40)

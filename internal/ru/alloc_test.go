@@ -41,7 +41,6 @@ func TestHandleFrameSteadyStateAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
-	defer mem.SetEnabled(mem.SetEnabled(true))
 	r := New(sim.NewEngine(), DefaultConfig(0))
 	u := &countingUE{id: 7}
 	r.AddUE(u)

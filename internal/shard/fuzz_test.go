@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"slingshot/internal/mem"
 	"slingshot/internal/sim"
 )
 
@@ -26,8 +27,8 @@ func corpusMessages() []Message {
 	}
 }
 
-// FuzzDecodeMessage asserts the codec is total and canonical: Decode never
-// panics on arbitrary bytes, and any frame Decode accepts re-encodes to
+// FuzzDecodeMessage asserts the codec is total and canonical: DecodePooled
+// never panics on arbitrary bytes, and any frame it accepts re-encodes to
 // the identical bytes.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range corpusMessages() {
@@ -52,10 +53,11 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(append(append([]byte{}, good...), 0x00)) // trailing byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
+		m, err := DecodePooled(data)
 		if err != nil {
 			return
 		}
+		defer mem.PutBytes(m.Payload)
 		re := Encode(&m)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, re)
@@ -76,10 +78,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		if len(buf) != mm.EncodedLen() {
 			t.Fatalf("msg %d: encoded %d bytes, EncodedLen says %d", i, len(buf), mm.EncodedLen())
 		}
-		got, err := Decode(buf)
+		got, err := DecodePooled(buf)
 		if err != nil {
 			t.Fatalf("msg %d: decode: %v", i, err)
 		}
+		defer mem.PutBytes(got.Payload)
 		if got.At != m.At || got.Src != m.Src || got.Dst != m.Dst ||
 			got.Seq != m.Seq || got.Kind != m.Kind || got.A != m.A || got.B != m.B ||
 			!bytes.Equal(got.Payload, m.Payload) {
@@ -115,13 +118,15 @@ func TestCodecRejects(t *testing.T) {
 		"spare-release truncated":     rel[:headerLen-2],
 	}
 	for name, data := range cases {
-		if _, err := Decode(data); err == nil {
+		if _, err := DecodePooled(data); err == nil {
 			t.Errorf("%s: decode accepted %x", name, data)
 		}
 	}
-	if _, err := Decode(good); err != nil {
+	m, err := DecodePooled(good)
+	if err != nil {
 		t.Fatalf("control case rejected: %v", err)
 	}
+	mem.PutBytes(m.Payload)
 }
 
 func mutate(b []byte, i int, v byte) []byte {

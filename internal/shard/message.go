@@ -164,24 +164,13 @@ func Encode(m *Message) []byte {
 	return m.AppendEncode(make([]byte, 0, m.EncodedLen()))
 }
 
-// Decode parses one wire message. The buffer must hold exactly one
-// message (trailing bytes are an error: frames are length-delimited by
-// the transport). The payload is copied out, so the caller may recycle
-// data immediately.
-func Decode(data []byte) (Message, error) {
-	return decode(data, false)
-}
-
-// DecodePooled is Decode with the payload copy leased from internal/mem
-// instead of freshly allocated: the caller owns it and must
-// mem.PutBytes(m.Payload) once the message is fully consumed (losing it
-// on a drop path is safe — the GC reclaims it). With pooling disabled
-// (mem.SetEnabled(false)) it degrades to exactly Decode.
+// DecodePooled parses one wire message. The buffer must hold exactly one
+// message (trailing bytes are an error: frames are length-delimited by the
+// transport). The payload is copied into a lease from internal/mem, so the
+// caller may recycle data immediately; it owns the copy and must
+// mem.PutBytes(m.Payload) once the message is fully consumed (losing it on
+// a drop path is safe — the GC reclaims it).
 func DecodePooled(data []byte) (Message, error) {
-	return decode(data, true)
-}
-
-func decode(data []byte, pooled bool) (Message, error) {
 	var m Message
 	if len(data) < headerLen {
 		return m, fmt.Errorf("shard: message truncated (%d bytes)", len(data))
@@ -208,12 +197,7 @@ func decode(data []byte, pooled bool) (Message, error) {
 	m.A = getU64(data[23:])
 	m.B = getU64(data[31:])
 	if plen > 0 {
-		if pooled {
-			m.Payload = append(mem.GetBytesCap(plen), data[headerLen:headerLen+plen]...)
-		} else {
-			m.Payload = make([]byte, plen)
-			copy(m.Payload, data[headerLen:])
-		}
+		m.Payload = append(mem.GetBytesCap(plen), data[headerLen:]...)
 	}
 	return m, nil
 }

@@ -21,9 +21,6 @@ func TestRadioPathSteadyStateAllocs(t *testing.T) {
 	if mem.DetectorArmed() {
 		t.Skip("pool double-free detector armed (-race); its bookkeeping allocates")
 	}
-	prev := mem.SetEnabled(true)
-	defer mem.SetEnabled(prev)
-
 	const runs = 20 // AllocsPerRun adds one warm-up call
 	e := sim.NewEngine()
 	cfg := DefaultConfig(1, 0, "test-ue", 30) // fading on
@@ -92,26 +89,25 @@ func TestRadioPathSteadyStateAllocs(t *testing.T) {
 // TestPullUplinkOverwritesStaleLease: the uplink block is built in a
 // recycled lease whose previous contents depend on which worker returned
 // it last, so every sample handed to the RU — the pad to whole PRBs
-// included — must be written. A UE drawing from a poisoned pool must
-// produce the very bits of its twin running with pooling off (fresh zeroed
-// buffers, the seed behaviour).
+// included — must be written. A UE drawing from a pool primed with 1e9,
+// or from one TrackLeases poisons with NaN, must produce the very bits of
+// its twin drawing from a pool primed with zeros.
 func TestPullUplinkOverwritesStaleLease(t *testing.T) {
-	pull := func(pooled bool) []complex128 {
-		prev := mem.SetEnabled(pooled)
-		defer mem.SetEnabled(prev)
-		if pooled {
-			var held [][]complex128
-			for i := 0; i < 4; i++ {
-				b := mem.GetComplexCap(192)
-				b = b[:cap(b)]
-				for j := range b {
-					b[j] = complex(1e9, -1e9)
-				}
-				held = append(held, b)
+	pull := func(fill complex128, poison bool) []complex128 {
+		if poison {
+			defer mem.TrackLeases()()
+		}
+		var held [][]complex128
+		for i := 0; i < 4; i++ {
+			b := mem.GetComplexCap(192)
+			b = b[:cap(b)]
+			for j := range b {
+				b[j] = fill
 			}
-			for _, b := range held {
-				mem.PutComplex(b)
-			}
+			held = append(held, b)
+		}
+		for _, b := range held {
+			mem.PutComplex(b)
 		}
 		u := New(sim.NewEngine(), DefaultConfig(1, 0, "test-ue", 30), sim.NewRNG(3))
 		u.SetCellParams(cellSeed, 9)
@@ -126,13 +122,21 @@ func TestPullUplinkOverwritesStaleLease(t *testing.T) {
 		}
 		return iq
 	}
-	want, got := pull(false), pull(true)
-	if len(got) != len(want) || len(got)%12 != 0 {
-		t.Fatalf("pooled block has %d samples, unpooled %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: pooled %v, unpooled %v", i, got[i], want[i])
+	want := pull(0, false)
+	for _, tc := range []struct {
+		name string
+		got  []complex128
+	}{
+		{"1e9-primed", pull(complex(1e9, -1e9), false)},
+		{"poisoned", pull(0, true)},
+	} {
+		if len(tc.got) != len(want) || len(tc.got)%12 != 0 {
+			t.Fatalf("%s block has %d samples, zero-primed %d", tc.name, len(tc.got), len(want))
+		}
+		for i := range want {
+			if tc.got[i] != want[i] {
+				t.Fatalf("%s sample %d: %v, zero-primed %v", tc.name, i, tc.got[i], want[i])
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package slingshot
 
-// Restore-replay equivalence at every barrier, shard count, worker width
-// and pooling mode is the R axis of TestDeterminismMatrix.
+// Restore-replay equivalence at every barrier, shard count and worker width,
+// into and out of poisoned leases, is the R axis of TestDeterminismMatrix.
 
 import (
 	"strings"
